@@ -26,6 +26,7 @@ discrete convolution (bandwidths are scaled to integers first).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -58,18 +59,35 @@ def handoff_in_probability(mu: float, window: float, handoff_prob: float) -> flo
     return (1.0 - stay_probability(mu, window)) * handoff_prob
 
 
+#: Bound on each memo table below.  The full Figure 6 sweep (four windows)
+#: touches 368 ``(n, p)`` pairs and five bandwidth tuples; each entry holds
+#: at most a few hundred floats.
+_MEMO_SIZE = 1024
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a memoized array read-only, so no caller can corrupt the memo."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Exact binomial pmf over 0..n (log-space for numerical robustness)."""
+    """Exact binomial pmf over 0..n (log-space for numerical robustness).
+
+    Memoized and read-only: the look-ahead test asks for the same few
+    ``(n, p)`` pairs thousands of times per simulated run.
+    """
     if n == 0:
-        return np.array([1.0])
+        return _frozen(np.array([1.0]))
     if p <= 0.0:
         pmf = np.zeros(n + 1)
         pmf[0] = 1.0
-        return pmf
+        return _frozen(pmf)
     if p >= 1.0:
         pmf = np.zeros(n + 1)
         pmf[n] = 1.0
-        return pmf
+        return _frozen(pmf)
     from scipy.special import gammaln
 
     k = np.arange(n + 1)
@@ -80,15 +98,24 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
         + k * math.log(p)
         + (n - k) * math.log(1.0 - p)
     )
-    return np.exp(log_pmf)
+    return _frozen(np.exp(log_pmf))
 
 
-def _scale_to_integers(bandwidths: Sequence[float]) -> Tuple[List[int], float]:
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _placed_binomial_pmf(n: int, p: float, weight: int) -> np.ndarray:
+    """``weight * Binomial(n, p)`` on the integer load grid (read-only)."""
+    placed = np.zeros(n * weight + 1)
+    placed[::weight] = _binomial_pmf(n, p)
+    return _frozen(placed)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _scale_to_integers(bandwidths: Tuple[float, ...]) -> Tuple[Tuple[int, ...], float]:
     """Scale bandwidths to a common integer grid; returns (ints, unit)."""
     for scale in (1, 2, 4, 5, 8, 10, 16, 20, 25, 50, 100, 1000):
         scaled = [b * scale for b in bandwidths]
         if all(abs(s - round(s)) < 1e-9 and round(s) >= 1 for s in scaled):
-            return [int(round(s)) for s in scaled], 1.0 / scale
+            return tuple(int(round(s)) for s in scaled), 1.0 / scale
     raise ValueError(
         f"bandwidths {list(bandwidths)} cannot be scaled to integers"
     )
@@ -101,20 +128,17 @@ def weighted_binomial_sum_pmf(
 
     ``groups`` is a sequence of ``(bandwidth, count, probability)``.
     Returns ``(pmf, unit)`` where ``pmf[k]`` is the probability of total
-    load ``k * unit``.
+    load ``k * unit``; ``pmf`` is a fresh array the caller may modify.
     """
     active = [(b, n, p) for b, n, p in groups if n > 0]
     if not active:
         return np.array([1.0]), 1.0
-    weights, unit = _scale_to_integers([b for b, _, _ in active])
+    weights, unit = _scale_to_integers(tuple(b for b, _, _ in active))
     pmf = np.array([1.0])
     for (bw, (_, n, p)) in zip(weights, active):
         if n < 0:
             raise ValueError(f"count must be non-negative, got {n}")
-        base = _binomial_pmf(n, p)
-        expanded = np.zeros(n * bw + 1)
-        expanded[:: bw] = base
-        pmf = np.convolve(pmf, expanded)
+        pmf = np.convolve(pmf, _placed_binomial_pmf(n, p, bw))
     return pmf, unit
 
 
@@ -176,7 +200,23 @@ class ProbabilisticAdmission:
         self.capacity = capacity
         self.window = window
         self.p_qos = p_qos
-        self.types = [_TypeParams(*t) for t in types]
+        self.types = tuple(_TypeParams(*t) for t in types)
+        for params in self.types:
+            if params.bandwidth <= 0:
+                raise ValueError(
+                    f"bandwidth must be positive, got {params.bandwidth}"
+                )
+        # Per-type (b_min, p_s, p_m): fixed for the controller's lifetime,
+        # and computing them here rejects a bad mu or handoff probability
+        # at construction rather than at the first admission.
+        self._survival = tuple(
+            (
+                params.bandwidth,
+                stay_probability(params.mu, window),
+                handoff_in_probability(params.mu, window, params.handoff_prob),
+            )
+            for params in self.types
+        )
         self._cache: Dict[tuple, float] = {}
 
     def survival_groups(
@@ -188,13 +228,11 @@ class ProbabilisticAdmission:
         ):
             raise ValueError("counts must have one entry per type")
         groups: List[Tuple[float, int, float]] = []
-        for params, n, s in zip(self.types, local_counts, neighbor_counts):
-            p_s = stay_probability(params.mu, self.window)
-            p_m = handoff_in_probability(
-                params.mu, self.window, params.handoff_prob
-            )
-            groups.append((params.bandwidth, int(n), p_s))
-            groups.append((params.bandwidth, int(s), p_m))
+        for (bandwidth, p_s, p_m), n, s in zip(
+            self._survival, local_counts, neighbor_counts
+        ):
+            groups.append((bandwidth, int(n), p_s))
+            groups.append((bandwidth, int(s), p_m))
         return groups
 
     def nonblocking(

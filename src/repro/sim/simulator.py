@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Hashable, List, Optional
 
 from ..core.classifier import CellTypeLearner
@@ -82,6 +83,7 @@ class TwoCellSimulator:
         self.counts: Dict[str, List[int]] = {
             cell: [0] * len(config.types) for cell in self.CELLS
         }
+        self._bandwidths = tuple(t.bandwidth for t in config.types)
         self._admission: Optional[ProbabilisticAdmission] = None
         if config.policy == "probabilistic":
             self._admission = ProbabilisticAdmission(
@@ -114,33 +116,35 @@ class TwoCellSimulator:
             self.env.process(self._residency(cell, ctype))
 
     def _residency(self, cell: str, ctype: int):
-        """One cell-residency; chains into handoffs recursively."""
+        """A connection's cell-residencies, handing off between the two
+        cells until it terminates or is dropped."""
+        env, rng, counts = self.env, self.rng, self.counts
         spec = self.config.types[ctype]
-        yield self.env.timeout(self.rng.expovariate(spec.mu))
-        self.counts[cell][ctype] -= 1
-        counting = self.env.now >= self.config.warmup
+        mu = spec.mu
+        while True:
+            yield env.timeout(rng.expovariate(mu))
+            counts[cell][ctype] -= 1
+            counting = env.now >= self.config.warmup
 
-        if self.rng.random() >= spec.handoff_prob:
+            if rng.random() >= spec.handoff_prob:
+                if counting:
+                    self.stats.record_completion()
+                return  # natural termination
+
+            cell = "s" if cell == "q" else "q"
+            fits = self._bandwidth_used(cell) + spec.bandwidth <= self.config.capacity + 1e-9
             if counting:
-                self.stats.record_completion()
-            return  # natural termination
-
-        other = "s" if cell == "q" else "q"
-        fits = self._bandwidth_used(other) + spec.bandwidth <= self.config.capacity + 1e-9
-        if counting:
-            self.stats.record_handoff(attempts=1, drops=0 if fits else 1)
-        if not fits:
-            return  # dropped mid-call
-        self.counts[other][ctype] += 1
-        yield from self._residency(other, ctype)
+                self.stats.record_handoff(attempts=1, drops=0 if fits else 1)
+            if not fits:
+                return  # dropped mid-call
+            counts[cell][ctype] += 1
 
     # -- admission ----------------------------------------------------------------
 
     def _bandwidth_used(self, cell: str) -> float:
-        return sum(
-            n * t.bandwidth
-            for n, t in zip(self.counts[cell], self.config.types)
-        )
+        # A fresh sum in type order on every call: a running float total
+        # would round differently and flip admissions at the capacity edge.
+        return sum(map(mul, self.counts[cell], self._bandwidths))
 
     def _admit_new(self, cell: str, ctype: int) -> bool:
         spec = self.config.types[ctype]

@@ -10,6 +10,7 @@ from repro.core import (
     ProbabilisticAdmission,
     handoff_in_probability,
     nonblocking_probability,
+    probabilistic,
     reserved_bandwidth,
     stay_probability,
     weighted_binomial_sum_pmf,
@@ -116,6 +117,123 @@ def test_property_pmf_is_distribution(groups):
     assert unit > 0
 
 
+# -- reference: the uncached P_nb arithmetic ---------------------------------
+#
+# A verbatim copy of the implementation without memoization.  The memoized
+# path must reproduce it bit for bit, because admission compares P_nb
+# against 1 - P_QOS and one flipped decision changes every later event.
+
+
+def reference_binomial_pmf(n, p):
+    if n == 0:
+        return np.array([1.0])
+    if p <= 0.0:
+        pmf = np.zeros(n + 1)
+        pmf[0] = 1.0
+        return pmf
+    if p >= 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[n] = 1.0
+        return pmf
+    from scipy.special import gammaln
+
+    k = np.arange(n + 1)
+    log_pmf = (
+        gammaln(n + 1)
+        - gammaln(k + 1)
+        - gammaln(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log(1.0 - p)
+    )
+    return np.exp(log_pmf)
+
+
+def reference_scale_to_integers(bandwidths):
+    for scale in (1, 2, 4, 5, 8, 10, 16, 20, 25, 50, 100, 1000):
+        scaled = [b * scale for b in bandwidths]
+        if all(abs(s - round(s)) < 1e-9 and round(s) >= 1 for s in scaled):
+            return [int(round(s)) for s in scaled], 1.0 / scale
+    raise ValueError(
+        f"bandwidths {list(bandwidths)} cannot be scaled to integers"
+    )
+
+
+def reference_weighted_binomial_sum_pmf(groups):
+    active = [(b, n, p) for b, n, p in groups if n > 0]
+    if not active:
+        return np.array([1.0]), 1.0
+    weights, unit = reference_scale_to_integers([b for b, _, _ in active])
+    pmf = np.array([1.0])
+    for (bw, (_, n, p)) in zip(weights, active):
+        if n < 0:
+            raise ValueError(f"count must be non-negative, got {n}")
+        base = reference_binomial_pmf(n, p)
+        expanded = np.zeros(n * bw + 1)
+        expanded[:: bw] = base
+        pmf = np.convolve(pmf, expanded)
+    return pmf, unit
+
+
+def reference_nonblocking_probability(capacity, groups):
+    pmf, unit = reference_weighted_binomial_sum_pmf(groups)
+    limit = int(math.floor(capacity / unit + 1e-9))
+    return float(pmf[: limit + 1].sum()) if limit >= 0 else 0.0
+
+
+def clear_memos():
+    probabilistic._binomial_pmf.cache_clear()
+    probabilistic._placed_binomial_pmf.cache_clear()
+    probabilistic._scale_to_integers.cache_clear()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+            st.integers(min_value=0, max_value=40),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        max_size=4,
+    ),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+def test_property_memoized_pmf_bit_identical_to_uncached(groups, capacity):
+    expected_pmf, expected_unit = reference_weighted_binomial_sum_pmf(groups)
+    expected_pnb = reference_nonblocking_probability(capacity, groups)
+    clear_memos()
+    for _ in ("first call: memo misses", "repeated call: memo hits"):
+        pmf, unit = weighted_binomial_sum_pmf(groups)
+        assert np.array_equal(pmf, expected_pmf)
+        assert unit == expected_unit
+        assert nonblocking_probability(capacity, groups) == expected_pnb
+
+
+@pytest.mark.parametrize(
+    "n, p", [(0, 0.3), (6, 0.0), (6, 1.0), (6, 0.3)]
+)
+def test_memoized_arrays_are_read_only(n, p):
+    for array in (
+        probabilistic._binomial_pmf(n, p),
+        probabilistic._placed_binomial_pmf(n, p, 4),
+    ):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [[], [(1.0, 3, 0.4)], [(1.0, 3, 0.4), (4.0, 2, 0.2)]],
+)
+def test_returned_pmf_is_the_callers_own(groups):
+    first, _ = weighted_binomial_sum_pmf(groups)
+    expected = first.copy()
+    first[:] = -1.0
+    second, _ = weighted_binomial_sum_pmf(groups)
+    assert np.array_equal(second, expected)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.0, max_value=60.0))
 def test_property_nonblocking_monotone_in_capacity(capacity):
@@ -138,6 +256,15 @@ class TestProbabilisticAdmission:
             ProbabilisticAdmission(40, 0, 0.01, FIG6_TYPES)
         with pytest.raises(ValueError):
             ProbabilisticAdmission(40, 0.1, 0.0, FIG6_TYPES)
+        # Per-type parameters fail at construction, not at the first
+        # admission inside a running simulation.
+        with pytest.raises(ValueError, match="mu must be positive"):
+            ProbabilisticAdmission(40, 0.1, 0.01, [(1.0, 0.0, 0.7)])
+        with pytest.raises(ValueError, match="handoff_prob"):
+            ProbabilisticAdmission(40, 0.1, 0.01, [(1.0, 5.0, 1.5)])
+        for bandwidth in (0.0, -1.0):
+            with pytest.raises(ValueError, match="bandwidth must be positive"):
+                ProbabilisticAdmission(40, 0.1, 0.01, [(bandwidth, 5.0, 0.7)])
 
     def test_empty_cell_admits(self):
         admission = self.make()

@@ -1,5 +1,7 @@
 """Tests for the two-cell teletraffic simulator (Figure 6 substrate)."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import TwoCellConfig, TwoCellSimulator, figure6_config
@@ -89,3 +91,25 @@ def test_warmup_excluded_from_counts():
     short = run(policy="plain", horizon=60.0, warmup=50.0)
     long = run(policy="plain", horizon=60.0, warmup=5.0)
     assert short.stats.new_requests < long.stats.new_requests
+
+
+#: Every counter of short seed-11 runs (horizon 60, warmup 20).  The other
+#: tests here check statistical shape only; these pin the exact outcome, so
+#: a refactor that flips one admission, drops one handoff differently or
+#: draws the RNG in another order fails here.
+PINNED_COUNTERS = [
+    ("plain", {}, (2570, 2567, 3, 5968, 6, 2576)),
+    ("static", {"static_reserve": 6.0}, (2520, 2478, 42, 5686, 4, 2485)),
+    ("probabilistic", {"window": 0.02, "p_qos": 0.001}, (2554, 2506, 48, 5786, 1, 2520)),
+    ("probabilistic", {"window": 0.02, "p_qos": 0.1}, (2590, 2578, 12, 5918, 9, 2579)),
+    ("probabilistic", {"window": 0.2, "p_qos": 0.001}, (2545, 2521, 24, 5850, 9, 2505)),
+    ("probabilistic", {"window": 0.2, "p_qos": 0.1}, (2570, 2567, 3, 5968, 6, 2576)),
+]
+
+
+@pytest.mark.parametrize("policy, overrides, counters", PINNED_COUNTERS)
+def test_counters_pinned_exactly(policy, overrides, counters):
+    stats = run(policy=policy, horizon=60.0, seed=11, **overrides).stats
+    names = ("new_requests", "admitted", "blocked", "handoff_attempts",
+             "handoff_drops", "completed")
+    assert dataclasses.asdict(stats) == {**dict(zip(names, counters)), "extra": {}}
