@@ -152,11 +152,13 @@ class CellularResourceManager:
 
     def attach_portable(self, portable, cell_id: Hashable) -> None:
         """Register a portable's initial location (no handoff recorded)."""
-        self._portables[portable.portable_id] = portable
-        portable.move_to(cell_id, self.env.now)
-        self.cells[cell_id].enter(portable.portable_id, self.env.now)
-        self.server.seed_presence(portable.portable_id, cell_id)
-        self.statmob.observe(portable.portable_id, cell_id, self.env.now)
+        pid = portable.portable_id
+        now = self.env.now
+        self._portables[pid] = portable
+        portable.move_to(cell_id, now)
+        self.cells[cell_id].enter(pid, now)
+        self.server.seed_presence(pid, cell_id)
+        self.statmob.observe(pid, cell_id, now)
         self._mark_dirty(cell_id)
         self._index_portable(portable, cell_id)
         if portable.connections:

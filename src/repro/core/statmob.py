@@ -9,9 +9,8 @@ reservations in the next-predicted cell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 __all__ = ["PortableState", "StaticMobileClassifier"]
 
@@ -19,12 +18,6 @@ __all__ = ["PortableState", "StaticMobileClassifier"]
 class PortableState(Enum):
     STATIC = "static"
     MOBILE = "mobile"
-
-
-@dataclass
-class _Residence:
-    cell: Hashable
-    since: float
 
 
 class StaticMobileClassifier:
@@ -47,8 +40,10 @@ class StaticMobileClassifier:
         self.threshold = threshold
         self.on_static = on_static
         self.on_mobile = on_mobile
-        self._residence: Dict[Hashable, _Residence] = {}
-        self._notified_static: Dict[Hashable, bool] = {}
+        #: ``(cell, since)`` per tracked portable.
+        self._residence: Dict[Hashable, Tuple[Hashable, float]] = {}
+        #: Portables whose current residence has fired ``on_static``.
+        self._notified_static: Set[Hashable] = set()
 
     def observe(self, portable_id: Hashable, cell: Hashable, now: float) -> PortableState:
         """Record the portable's current cell at time ``now``.
@@ -57,12 +52,12 @@ class StaticMobileClassifier:
         needed; returns the state as of ``now``.
         """
         res = self._residence.get(portable_id)
-        if res is None or res.cell != cell:
-            moved = res is not None
-            self._residence[portable_id] = _Residence(cell=cell, since=now)
-            self._notified_static[portable_id] = False
-            if moved and self.on_mobile is not None:
-                self.on_mobile(portable_id, now)
+        if res is None or res[0] != cell:
+            self._residence[portable_id] = (cell, now)
+            if res is not None:
+                self._notified_static.discard(portable_id)
+                if self.on_mobile is not None:
+                    self.on_mobile(portable_id, now)
             return PortableState.MOBILE
         return self.classify(portable_id, now)
 
@@ -71,9 +66,9 @@ class StaticMobileClassifier:
         res = self._residence.get(portable_id)
         if res is None:
             return PortableState.MOBILE
-        if now - res.since >= self.threshold:
-            if not self._notified_static.get(portable_id) and self.on_static:
-                self._notified_static[portable_id] = True
+        if now - res[1] >= self.threshold:
+            if portable_id not in self._notified_static and self.on_static:
+                self._notified_static.add(portable_id)
                 self.on_static(portable_id, now)
             return PortableState.STATIC
         return PortableState.MOBILE
@@ -83,8 +78,7 @@ class StaticMobileClassifier:
 
     def residence(self, portable_id: Hashable) -> Optional[Tuple[Hashable, float]]:
         """(cell, since) for a tracked portable, else None."""
-        res = self._residence.get(portable_id)
-        return (res.cell, res.since) if res else None
+        return self._residence.get(portable_id)
 
     def static_portables(self, now: float) -> List[Hashable]:
         """All portables classified static at ``now``."""
@@ -96,4 +90,4 @@ class StaticMobileClassifier:
 
     def forget(self, portable_id: Hashable) -> None:
         self._residence.pop(portable_id, None)
-        self._notified_static.pop(portable_id, None)
+        self._notified_static.discard(portable_id)

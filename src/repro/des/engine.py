@@ -505,27 +505,28 @@ def selected_core(core: Optional[str] = None) -> str:
     """Which kernel :func:`make_environment` would build right now.
 
     Returns ``"native"`` or ``"pure"``.  ``native`` is selected only when
-    requested (or ``auto``), the extension imports, no process-wide tracer
-    is attached, and event recycling is off — tracing and recycling are
-    pure-kernel features, and ``auto`` silently falls back for them.  An
-    explicit ``native`` request with the extension unavailable raises
-    :class:`RuntimeError` (a sweep must never silently change kernels).
+    requested (or ``auto``), no process-wide tracer is attached, event
+    recycling is off, and the extension imports.  Tracing and recycling are
+    pure-kernel features: they veto the compiled pump first, even for an
+    explicit ``native`` request, so the kernel they select never depends on
+    whether the extension was built.  Otherwise an explicit ``native``
+    request with the extension unavailable raises :class:`RuntimeError` (a
+    sweep must never silently change kernels), and ``auto`` falls back to
+    pure.
     """
     mode = resolve_des_core(core)
-    if mode == "native" and not native_available():
-        raise RuntimeError(
-            "DES core 'native' requested but repro.des._speedups is not "
-            f"importable ({native_import_error()}); build it with "
-            "'python setup.py build_ext --inplace' or select auto/pure"
-        )
     if mode == "pure":
         return "pure"
-    if not native_available():
-        return "pure"
     if get_tracer() is not None or _recycling_requested():
-        # Tracing and recycling are pure-kernel features; even an explicit
-        # native request yields to them (the fallback is visible in
-        # telemetry, which reports core == "pure").
+        # The fallback is visible in telemetry, which reports core == "pure".
+        return "pure"
+    if not native_available():
+        if mode == "native":
+            raise RuntimeError(
+                "DES core 'native' requested but repro.des._speedups is not "
+                f"importable ({native_import_error()}); build it with "
+                "'python setup.py build_ext --inplace' or select auto/pure"
+            )
         return "pure"
     return "native"
 
@@ -538,12 +539,14 @@ def make_environment(
     Core selection (see :func:`selected_core`): the compiled kernel is used
     when available and not ruled out by tracing/recycling; the
     ``REPRO_DES_NATIVE`` variable or the ``core`` argument pins it to
-    ``native`` (raising if the extension is missing) or ``pure``.  With the
-    pure kernel, ``REPRO_DES_RECYCLE`` set to ``1``/``true``/``on`` selects
-    the event-recycling variant.  Results are bit-identical across all of
-    these switches — they only trade interpreter overhead, allocation
-    pressure, and observability (see ``benchmarks/bench_des_overhead.py``
-    and ``tests/sim/test_native_identity.py``).
+    ``native`` or ``pure``.  A tracer or recycling overrides a ``native``
+    pin; otherwise a ``native`` pin raises if the extension is missing.
+    With the pure kernel, ``REPRO_DES_RECYCLE`` set to ``1``/``true``/``on``
+    selects the event-recycling variant.  Results are bit-identical across
+    all of these switches — they only trade interpreter overhead,
+    allocation pressure, and observability (see
+    ``benchmarks/bench_des_overhead.py`` and
+    ``tests/sim/test_native_identity.py``).
     """
     if selected_core(core) == "native":
         module = _native_module()

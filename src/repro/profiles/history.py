@@ -8,7 +8,7 @@ aggregating these windows.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, Hashable, Optional, Tuple
+from typing import Deque, Dict, Hashable, Optional, Tuple, Union
 
 __all__ = ["HandoffRecord", "HandoffHistory"]
 
@@ -36,18 +36,28 @@ class HandoffRecord(tuple):
 
 
 class HandoffHistory:
-    """A sliding window of handoff records with aggregation queries."""
+    """A sliding window of handoff records with aggregation queries.
+
+    The window's deque is allocated on the first :meth:`record`.  Most
+    portables never hand off, and until then the empty tuple answers every
+    query exactly as an empty deque would.
+    """
+
+    __slots__ = ("window", "_records")
 
     def __init__(self, window: int = 200):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._records: Deque[HandoffRecord] = deque(maxlen=window)
+        self._records: Union[Deque[HandoffRecord], Tuple[()]] = ()
 
     def record(
         self, previous: Optional[Hashable], current: Hashable, next_: Hashable
     ) -> None:
-        self._records.append(HandoffRecord(previous, current, next_))
+        records = self._records
+        if isinstance(records, tuple):
+            records = self._records = deque(maxlen=self.window)
+        records.append(HandoffRecord(previous, current, next_))
 
     def __len__(self) -> int:
         return len(self._records)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
+from .history import HandoffHistory
 from .records import CellClass, CellProfile, PortableProfile
 
 __all__ = ["ProfileServer"]
@@ -40,10 +41,11 @@ class ProfileServer:
         """Add (or fetch) a cell profile; neighbor links are symmetric."""
         profile = self.cells.get(cell_id)
         if profile is None:
-            profile = CellProfile(cell_id=cell_id, cell_class=cell_class)
-            from .history import HandoffHistory
-
-            profile.history = HandoffHistory(window=self.cell_window)
+            profile = CellProfile(
+                cell_id=cell_id,
+                cell_class=cell_class,
+                history=HandoffHistory(window=self.cell_window),
+            )
             self.cells[cell_id] = profile
         elif cell_class is not CellClass.UNKNOWN:
             profile.cell_class = cell_class
@@ -56,10 +58,10 @@ class ProfileServer:
     def register_portable(self, portable_id: Hashable) -> PortableProfile:
         profile = self.portables.get(portable_id)
         if profile is None:
-            from .history import HandoffHistory
-
-            profile = PortableProfile(portable_id=portable_id)
-            profile.history = HandoffHistory(window=self.portable_window)
+            profile = PortableProfile(
+                portable_id=portable_id,
+                history=HandoffHistory(window=self.portable_window),
+            )
             self.portables[portable_id] = profile
             self._context[portable_id] = (None, None)
         return profile

@@ -213,7 +213,8 @@ class FloorplanSimulator:
             on_handoff=self._on_handoff,
             incremental=incremental,
         )
-        self.portables: Dict[Hashable, Portable] = {}
+        #: Attached portables by id: the manager's own table, not a copy.
+        self.portables: Dict[Hashable, Portable] = self.manager.portables
 
         # Section 6.4's learning process: cells entered as UNKNOWN run the
         # default algorithm while an online learner observes their behavior.
@@ -291,7 +292,6 @@ class FloorplanSimulator:
         self, portable_id: Hashable, cell_id: Hashable, home_office: Hashable = None
     ) -> Portable:
         portable = Portable(portable_id, home_office=home_office)
-        self.portables[portable_id] = portable
         self.manager.attach_portable(portable, cell_id)
         return portable
 

@@ -16,6 +16,16 @@ class Portable:
     portable: mobility and connection ownership live here.
     """
 
+    __slots__ = (
+        "portable_id",
+        "home_office",
+        "current_cell",
+        "previous_cell",
+        "entered_at",
+        "connections",
+        "handoff_count",
+    )
+
     def __init__(self, portable_id: Hashable, home_office: Optional[Hashable] = None):
         self.portable_id = portable_id
         #: The office cell this user regularly occupies (None for visitors).

@@ -1,7 +1,9 @@
 """Tests for handoff histories and their aggregation."""
 
+from collections import Counter, deque
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.profiles import HandoffHistory, HandoffRecord
 
@@ -88,3 +90,95 @@ def test_probabilities_sum_to_one(records):
         probs = history.transition_probabilities(cur)
         if probs:
             assert sum(probs.values()) == pytest.approx(1.0)
+
+
+# -- lazy window == eager window -----------------------------------------------
+
+
+class _EagerHistory:
+    """Reference model: the window is a plain ``deque(maxlen=window)`` of
+    ``(previous, current, next)`` triples from construction on, and every
+    query is spelled out over it."""
+
+    def __init__(self, window):
+        self.records = deque(maxlen=window)
+
+    def record(self, previous, current, next_):
+        self.records.append((previous, current, next_))
+
+    def transition_counts(self, current, previous=None):
+        counts = Counter()
+        for prev, cur, nxt in self.records:
+            if cur == current and (previous is None or prev == previous):
+                counts[nxt] += 1
+        return counts
+
+    def transition_probabilities(self, current, previous=None):
+        counts = self.transition_counts(current, previous)
+        total = sum(counts.values())
+        return {cell: n / total for cell, n in counts.items()} if total else {}
+
+    def most_likely_next(self, current, previous=None):
+        counts = self.transition_counts(current, previous)
+        if not counts:
+            return None
+        return min(counts, key=lambda c: (-counts[c], repr(c)))
+
+    def conditioned_triplets(self):
+        by_context = {}
+        for prev, cur, nxt in self.records:
+            by_context.setdefault((prev, cur), Counter())[nxt] += 1
+        return {
+            ctx: min(counts, key=lambda c: (-counts[c], repr(c)))
+            for ctx, counts in by_context.items()
+        }
+
+
+_CELLS = ("a", "b", "c")
+
+
+@st.composite
+def _windows_and_records(draw):
+    window = draw(st.sampled_from([1, 2, 5, 50]))
+    records = draw(
+        st.lists(
+            st.tuples(
+                st.none() | st.sampled_from(_CELLS),
+                st.sampled_from(_CELLS),
+                st.sampled_from(_CELLS),
+            ),
+            max_size=3 * window,
+        )
+    )
+    return window, records
+
+
+@given(_windows_and_records())
+@example((1, []))
+@example((50, []))
+def test_lazy_window_answers_like_an_eager_deque(case):
+    """The deque is allocated on the first record; before and after, every
+    query must equal the eager reference's, item order included."""
+    window, records = case
+    history = HandoffHistory(window=window)
+    reference = _EagerHistory(window)
+    for prev, cur, nxt in records:
+        history.record(prev, cur, nxt)
+        reference.record(prev, cur, nxt)
+
+    assert len(history) == len(reference.records)
+    assert list(history) == list(reference.records)
+    for current in _CELLS:
+        for previous in (None,) + _CELLS:
+            assert list(history.transition_counts(current, previous).items()) == list(
+                reference.transition_counts(current, previous).items()
+            )
+            assert list(
+                history.transition_probabilities(current, previous).items()
+            ) == list(reference.transition_probabilities(current, previous).items())
+            assert history.most_likely_next(current, previous) == (
+                reference.most_likely_next(current, previous)
+            )
+    assert list(history.conditioned_triplets().items()) == list(
+        reference.conditioned_triplets().items()
+    )
