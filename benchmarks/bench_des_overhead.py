@@ -24,7 +24,6 @@ from conftest import once
 
 from repro.des import (
     Environment,
-    RecyclingEnvironment,
     make_environment,
     native_available,
     native_import_error,
@@ -136,40 +135,3 @@ def test_des_event_overhead(benchmark, report, report_json):
         },
     )
 
-
-def test_des_freelist_overhead(benchmark, report):
-    """Event free-list delta: RecyclingEnvironment vs the plain kernel.
-
-    Both workloads are allocation-dominated (every event lives for one
-    schedule→fire cycle), which is exactly the case the bounded free-list
-    targets; ``REPRO_DES_RECYCLE=1`` opts a run in.
-    """
-
-    def run():
-        out = {}
-        for name, fn in (
-            ("chain", lambda make: _bench_chain(200_000, make)),
-            ("interleaved", lambda make: _bench_interleaved(100, 2000, make)),
-        ):
-            out[name] = {
-                "plain": min(fn(Environment) for _ in range(3)),
-                "recycled": min(fn(RecyclingEnvironment) for _ in range(3)),
-            }
-        return out
-
-    measured = once(benchmark, run)
-
-    lines = ["DES event free-list: per-event cost, plain vs recycling kernel",
-             f"{'workload':<14} {'plain (us)':>11} {'recycled (us)':>14} "
-             f"{'delta':>8}"]
-    for name, timing in measured.items():
-        plain_us = timing["plain"] * 1e6
-        recycled_us = timing["recycled"] * 1e6
-        lines.append(
-            f"{name:<14} {plain_us:>11.3f} {recycled_us:>14.3f} "
-            f"{(1 - recycled_us / plain_us) * 100:>7.1f}%"
-        )
-        assert timing["plain"] > 0 and timing["recycled"] > 0
-    lines.append("enable with REPRO_DES_RECYCLE=1 (off by default; "
-                 "bit-identical either way)")
-    report("des_freelist", "\n".join(lines))

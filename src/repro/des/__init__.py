@@ -22,7 +22,6 @@ Example
 
 from .engine import (
     Environment,
-    RecyclingEnvironment,
     events_processed_by_core,
     events_processed_total,
     make_environment,
@@ -32,7 +31,6 @@ from .engine import (
     selected_core,
     NATIVE_ENV,
     NORMAL,
-    RECYCLE_ENV,
     URGENT,
 )
 from .errors import EmptySchedule, Interrupt, SimulationError, StopProcess
@@ -45,7 +43,6 @@ from .store import FilterStore, Store
 
 __all__ = [
     "Environment",
-    "RecyclingEnvironment",
     "events_processed_by_core",
     "events_processed_total",
     "make_environment",
@@ -55,7 +52,6 @@ __all__ = [
     "selected_core",
     "NATIVE_ENV",
     "NORMAL",
-    "RECYCLE_ENV",
     "URGENT",
     "EmptySchedule",
     "Interrupt",

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import heapq
 import os
-import sys
 from itertools import count
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
 from ..obs.trace import Tracer, get_tracer
 from .errors import EmptySchedule, StopProcess
-from .events import PENDING, AllOf, AnyOf, Event, Timeout
+from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 __all__ = [
     "Environment",
-    "RecyclingEnvironment",
     "make_environment",
     "events_processed_total",
     "events_processed_by_core",
@@ -25,7 +23,6 @@ __all__ = [
     "selected_core",
     "NORMAL",
     "URGENT",
-    "RECYCLE_ENV",
     "NATIVE_ENV",
 ]
 
@@ -295,139 +292,6 @@ class Environment:
             self._flush_event_tally()
 
 
-class RecyclingEnvironment(Environment):
-    """An :class:`Environment` that recycles fired events (opt-in).
-
-    Events and timeouts are the hottest allocation in a simulation: a
-    paper-scale run creates hundreds of thousands of them, each living for
-    exactly one schedule→fire cycle.  This kernel keeps bounded free-lists
-    of processed ``Event`` / ``Timeout`` objects and hands them back out
-    from :meth:`event` / :meth:`timeout`, trading two list operations per
-    event for an object allocation plus ``__init__``.
-
-    Recycling an object that something still references would corrupt the
-    simulation, so the pump only pools an event when it holds the *last*
-    reference (``sys.getrefcount(event) == 2``: the loop variable plus the
-    call argument) and the type is exactly ``Event`` or ``Timeout`` —
-    subclasses such as ``Condition`` or resource requests carry extra
-    state and identity and are never pooled.  A recycled run is therefore
-    bit-identical to a plain run: pooling changes which *object* carries
-    an event, never its observable state or ordering.
-
-    The base :class:`Environment` is untouched — with recycling off the
-    kernel executes the exact pre-free-list instruction sequence (the same
-    discipline the tracing hooks follow).  Traced runs delegate to the
-    base pump: observability, not throughput, is the point of those.
-    """
-
-    __slots__ = ("_event_pool", "_timeout_pool", "pool_capacity", "recycled")
-
-    def __init__(self, initial_time: float = 0.0, pool_capacity: int = 1024):
-        super().__init__(initial_time)
-        if pool_capacity < 0:
-            raise ValueError(f"pool_capacity must be >= 0, got {pool_capacity}")
-        self.pool_capacity = pool_capacity
-        self._event_pool: List[Event] = []
-        self._timeout_pool: List[Timeout] = []
-        #: Pool hits: events handed out from a free-list instead of allocated.
-        self.recycled = 0
-
-    # -- recycling event factories ----------------------------------------
-
-    def event(self) -> Event:
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = PENDING
-            ev._ok = True
-            ev.defused = False
-            self.recycled += 1
-            return ev
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            tm = pool.pop()
-            tm.callbacks = []
-            tm.defused = False
-            tm._delay = delay
-            tm._ok = True
-            tm._value = value
-            self.recycled += 1
-            self.schedule(tm, delay=delay)
-            return tm
-        return Timeout(self, delay, value)
-
-    # -- recycling pump ----------------------------------------------------
-
-    def run(self, until: Union[Event, float, None] = None) -> Any:
-        if self._tracer is not None:
-            return super().run(until)
-
-        if until is not None and not isinstance(until, Event):
-            at = float(until)
-            if at < self._now:
-                raise ValueError(f"until={at} lies in the past (now={self._now})")
-            until = Event(self)
-            until._ok = True
-            until._value = None
-            self.schedule(until, priority=URGENT, delay=at - self._now)
-
-        if until is not None:
-            if until.callbacks is None:
-                return until.value
-            until.callbacks.append(_stop_simulation)
-
-        pop = self._pop
-        queue = self._queue
-        event_pool = self._event_pool
-        timeout_pool = self._timeout_pool
-        capacity = self.pool_capacity
-        getrefcount = sys.getrefcount
-        try:
-            while True:
-                try:
-                    self._now, _, _, event = pop(queue)
-                except IndexError:
-                    raise EmptySchedule(
-                        "no scheduled events remain"
-                    ) from None
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    raise event._value
-                # getrefcount counts the loop variable plus its own
-                # argument: 2 means nothing else can see this object again.
-                cls = type(event)
-                if cls is Timeout:
-                    if len(timeout_pool) < capacity and getrefcount(event) == 2:
-                        event._value = None  # don't pin payloads in the pool
-                        timeout_pool.append(event)
-                elif cls is Event:
-                    if len(event_pool) < capacity and getrefcount(event) == 2:
-                        event._value = None
-                        event_pool.append(event)
-        except _StopSimulation as stop:
-            return stop.value
-        except EmptySchedule:
-            if until is not None and not until.triggered:
-                raise RuntimeError(
-                    "simulation ended before the awaited event fired"
-                ) from None
-            return None
-        finally:
-            self._flush_event_tally()
-
-
-#: Environment variable turning the recycling kernel on for simulators
-#: built through :func:`make_environment` (off by default).
-RECYCLE_ENV = "REPRO_DES_RECYCLE"
-
 #: Environment variable selecting the DES core for simulators built through
 #: :func:`make_environment`: ``native``/``1``/``true``/``on`` requires the
 #: compiled core, ``pure``/``0``/``false``/``off`` forces the pure kernel,
@@ -497,27 +361,22 @@ def resolve_des_core(core: Optional[str] = None) -> str:
     return mode
 
 
-def _recycling_requested() -> bool:
-    return os.environ.get(RECYCLE_ENV, "").strip().lower() in ("1", "true", "on")
-
-
 def selected_core(core: Optional[str] = None) -> str:
     """Which kernel :func:`make_environment` would build right now.
 
     Returns ``"native"`` or ``"pure"``.  ``native`` is selected only when
-    requested (or ``auto``), no process-wide tracer is attached, event
-    recycling is off, and the extension imports.  Tracing and recycling are
-    pure-kernel features: they veto the compiled pump first, even for an
-    explicit ``native`` request, so the kernel they select never depends on
-    whether the extension was built.  Otherwise an explicit ``native``
-    request with the extension unavailable raises :class:`RuntimeError` (a
-    sweep must never silently change kernels), and ``auto`` falls back to
-    pure.
+    requested (or ``auto``), no process-wide tracer is attached, and the
+    extension imports.  Tracing is a pure-kernel feature: it vetoes the
+    compiled pump first, even for an explicit ``native`` request, so the
+    kernel it selects never depends on whether the extension was built.
+    Otherwise an explicit ``native`` request with the extension unavailable
+    raises :class:`RuntimeError` (a sweep must never silently change
+    kernels), and ``auto`` falls back to pure.
     """
     mode = resolve_des_core(core)
     if mode == "pure":
         return "pure"
-    if get_tracer() is not None or _recycling_requested():
+    if get_tracer() is not None:
         # The fallback is visible in telemetry, which reports core == "pure".
         return "pure"
     if not native_available():
@@ -537,14 +396,11 @@ def make_environment(
     """The standard environment for simulators.
 
     Core selection (see :func:`selected_core`): the compiled kernel is used
-    when available and not ruled out by tracing/recycling; the
-    ``REPRO_DES_NATIVE`` variable or the ``core`` argument pins it to
-    ``native`` or ``pure``.  A tracer or recycling overrides a ``native``
-    pin; otherwise a ``native`` pin raises if the extension is missing.
-    With the pure kernel, ``REPRO_DES_RECYCLE`` set to ``1``/``true``/``on``
-    selects the event-recycling variant.  Results are bit-identical across
-    all of these switches — they only trade interpreter overhead,
-    allocation pressure, and observability (see
+    when available and not ruled out by tracing; the ``REPRO_DES_NATIVE``
+    variable or the ``core`` argument pins it to ``native`` or ``pure``.  A
+    tracer overrides a ``native`` pin; otherwise a ``native`` pin raises if
+    the extension is missing.  Results are bit-identical across these
+    switches — they only trade interpreter overhead and observability (see
     ``benchmarks/bench_des_overhead.py`` and
     ``tests/sim/test_native_identity.py``).
     """
@@ -552,8 +408,6 @@ def make_environment(
         module = _native_module()
         assert module is not None  # selected_core() guarantees this
         return module.NativeEnvironment(initial_time)
-    if _recycling_requested():
-        return RecyclingEnvironment(initial_time)
     return Environment(initial_time)
 
 

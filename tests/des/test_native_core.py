@@ -2,8 +2,8 @@
 
 ``make_environment()`` is the only sanctioned way to pick a kernel; these
 tests pin every edge of that seam — env-var parsing, the explicit-native
-failure mode when the extension is missing, the silent ``auto`` fallbacks
-for tracing and recycling — plus the per-core event accounting that
+failure mode when the extension is missing, the silent ``auto`` fallback
+for tracing — plus the per-core event accounting that
 telemetry uses to refuse mixed-kernel sweeps.
 
 Tests marked ``requires_native`` exercise the real extension and skip on
@@ -17,7 +17,6 @@ import pytest
 
 from repro.des import (
     NATIVE_ENV,
-    RECYCLE_ENV,
     Environment,
     Event,
     events_processed_by_core,
@@ -41,7 +40,6 @@ requires_native = pytest.mark.skipif(
 @pytest.fixture
 def clean_env(monkeypatch):
     monkeypatch.delenv(NATIVE_ENV, raising=False)
-    monkeypatch.delenv(RECYCLE_ENV, raising=False)
     return monkeypatch
 
 
@@ -114,13 +112,18 @@ def test_explicit_native_raises_when_extension_missing(no_native):
         make_environment()
 
 
+def test_make_environment_passes_initial_time(clean_env):
+    env = make_environment(5.0)
+    assert env.now == 5.0
+
+
 def test_native_available_reports_no_error_when_importable(clean_env):
     if not native_available():
         pytest.skip("extension genuinely absent; covered by no_native tests")
     assert native_import_error() is None
 
 
-# -- tracing and recycling veto the compiled pump ---------------------------
+# -- tracing vetoes the compiled pump ----------------------------------------
 
 
 @requires_native
@@ -131,14 +134,6 @@ def test_tracer_forces_pure_selection(clean_env):
         assert selected_core("native") == "pure"  # even an explicit request
         assert type(make_environment()) is Environment
     assert selected_core() == "native"
-
-
-def test_recycling_forces_pure_selection(clean_env):
-    clean_env.setenv(RECYCLE_ENV, "1")
-    clean_env.setenv(NATIVE_ENV, "1")
-    if native_available():
-        assert selected_core() == "pure"
-    assert make_environment().core == "pure"
 
 
 @requires_native

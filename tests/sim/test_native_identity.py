@@ -52,7 +52,6 @@ def _run_snippet(snippet: str, core: str, hash_seed: str) -> str:
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = hash_seed
     env[NATIVE_ENV] = core
-    env.pop("REPRO_DES_RECYCLE", None)  # recycling would veto the native leg
     proc = subprocess.run(
         [sys.executable, "-c", _CORE_GUARD + snippet],
         capture_output=True,
