@@ -5,22 +5,14 @@ two-cell simulations) through the serial backend and through process pools
 of increasing size, and records the wall-clock speedup.  On a single-core
 container the pool can only tie with serial (the report says so); with >= 4
 cores the 4-worker pool is expected to cut wall time by >= 2x.
-
-A second benchmark isolates the result-transport cost: workers returning
-large numeric payloads (the shape of binned time series) through the
-shared-memory transport versus the plain pickle pipe.  That comparison is
-meaningful even on one core — the savings are serialization and copy
-work, not parallelism.
 """
 
-import math
 import os
 import time
 
 from conftest import once
 
 from repro.runtime import ExperimentRunner
-from repro.runtime.shm import active_segments, shm_available
 from repro.sim import figure6_config, simulate_twocell_stats
 
 WINDOWS = (0.02, 0.05, 0.1, 0.2)
@@ -86,99 +78,3 @@ def test_runner_scaling(benchmark, report):
         )
     report("runner_scaling", "\n".join(lines))
 
-
-# -- shared-memory result transport ------------------------------------------
-
-PAYLOAD_ELEMENTS = 500_000
-PAYLOAD_SWEEP = list(range(8))
-ROUNDS = 3
-
-
-def _payload_worker(seed: int):
-    """A replication returning big *Python list* time series (worst case:
-    the transport must type-scan and convert every element)."""
-    base = float(seed)
-    return {
-        "seed": seed,
-        "series": [base + 0.001 * i for i in range(PAYLOAD_ELEMENTS)],
-        "counts": list(range(seed, seed + PAYLOAD_ELEMENTS // 4)),
-        "summary": {"mean": base + 0.25, "events": PAYLOAD_ELEMENTS},
-    }
-
-
-def _payload_worker_array(seed: int):
-    """The same payload as packed ``array('d'/'q')`` buffers (best case:
-    encode is a memcpy into the segment, decode a memcpy out)."""
-    from array import array
-
-    base = float(seed)
-    return {
-        "seed": seed,
-        "series": array(
-            "d", (base + 0.001 * i for i in range(PAYLOAD_ELEMENTS))
-        ),
-        "counts": array("q", range(seed, seed + PAYLOAD_ELEMENTS // 4)),
-        "summary": {"mean": base + 0.25, "events": PAYLOAD_ELEMENTS},
-    }
-
-
-def _timed_payload_run(worker, shm: bool):
-    runner = ExperimentRunner(jobs=2, shm=shm)
-    t0 = time.perf_counter()
-    results = runner.run_many(worker, PAYLOAD_SWEEP)
-    return time.perf_counter() - t0, results, runner
-
-
-def test_shm_transport_large_payloads(benchmark, report):
-    if not shm_available():
-        import pytest
-
-        pytest.skip("shared memory unavailable in this sandbox")
-
-    def run():
-        out = {}
-        for name, worker in (
-            ("list", _payload_worker), ("array", _payload_worker_array)
-        ):
-            times = {True: [], False: []}
-            results = {}
-            runners = {}
-            for _ in range(ROUNDS):  # alternate to cancel cache effects
-                for shm in (True, False):
-                    elapsed, res, runner = _timed_payload_run(worker, shm)
-                    times[shm].append(elapsed)
-                    results[shm] = res
-                    runners[shm] = runner
-            out[name] = (times, results, runners)
-        return out
-
-    measured = once(benchmark, run)
-
-    lines = [
-        "Result transport: shared memory vs pickle pipe "
-        f"({len(PAYLOAD_SWEEP)} workers x ~{PAYLOAD_ELEMENTS} elements, "
-        f"jobs=2, best of {ROUNDS})",
-        f"{'payload':<8} {'pickle (s)':>11} {'shm (s)':>9} {'delta':>8}",
-    ]
-    for name, (times, results, runners) in measured.items():
-        # The transport must be invisible: bit-identical results, no leaks.
-        assert results[True] == results[False], f"{name} payload diverged"
-        runner = runners[True]
-        assert runner.telemetry.shm_results == len(PAYLOAD_SWEEP)
-        assert runner._transport is not None
-        assert active_segments(runner._transport.run_id) == []
-        assert runners[False].telemetry.shm_results == 0
-
-        shm_best = min(times[True])
-        pickle_best = min(times[False])
-        lines.append(
-            f"{name:<8} {pickle_best:>11.2f} {shm_best:>9.2f} "
-            f"{(1 - shm_best / pickle_best) * 100:>+7.1f}%"
-        )
-    mib = measured["array"][2][True].telemetry.shm_bytes / (1 << 20)
-    lines.append(
-        f"each shm run moves {mib:.1f} MiB of results out of the pipe; "
-        "list payloads pay a per-element type scan + conversion, packed "
-        "arrays ride through as raw memcpys"
-    )
-    report("shm_transport", "\n".join(lines))

@@ -40,10 +40,8 @@ class RunTelemetry:
     batches: int = 0
     #: Coordinator wall-clock seconds across those batches.
     elapsed: float = 0.0
-    #: Results whose bulk payload rode a shared-memory segment.
+    #: Never written (always 0); ``perfbench/workpass.py`` still reads it.
     shm_results: int = 0
-    #: Raw bytes moved through shared memory instead of the result pipe.
-    shm_bytes: int = 0
     #: Trace records captured inside workers and merged by the coordinator.
     trace_records: int = 0
     #: Worker-side trace records lost to ring-buffer overflow.
@@ -161,8 +159,6 @@ class RunTelemetry:
         self.cache_misses += other.cache_misses
         self.batches += other.batches
         self.elapsed += other.elapsed
-        self.shm_results += other.shm_results
-        self.shm_bytes += other.shm_bytes
         self.trace_records += other.trace_records
         self.trace_dropped += other.trace_dropped
         self.wall_times.extend(other.wall_times)
@@ -188,10 +184,6 @@ class RunTelemetry:
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "hit_rate": self.cache_hit_rate,
-            },
-            "shm": {
-                "results": self.shm_results,
-                "bytes": self.shm_bytes,
             },
             "trace": {
                 "records": self.trace_records,
@@ -246,11 +238,6 @@ class RunTelemetry:
                 f"{self.chunks} chunks executed"
                 + (f", {self.chunks_resumed} resumed" if self.chunks_resumed else "")
                 + (f", {self.node_restarts} restarts" if self.node_restarts else "")
-            )
-        if self.shm_results:
-            lines.append(
-                f"  shm transport: {self.shm_results} results, "
-                f"{self.shm_bytes} bytes zero-copied"
             )
         if self.trace_records or self.trace_dropped:
             lines.append(

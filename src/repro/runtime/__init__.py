@@ -16,9 +16,6 @@ loops into a single dispatch surface:
 * :class:`~repro.runtime.faults.FaultInjector` — deterministic scripted
   crashes/hangs/exceptions for testing the fault tolerance without flaky
   sleeps;
-* :class:`~repro.runtime.shm.SharedResultTransport` — zero-copy transport
-  that ships large numeric result payloads through shared-memory segments
-  instead of the pickle pipe, with crash-safe orphan sweeping;
 * :mod:`~repro.runtime.distributed` — the cluster-scale backend
   (``backend="distributed"`` / ``--backend distributed --nodes N``):
   a coordinator shards each batch into a content-hash-keyed job manifest,
@@ -74,14 +71,6 @@ from .runner import (
     resolve_jobs,
     succeeded,
 )
-from .shm import (
-    DEFAULT_MIN_ELEMENTS,
-    SharedResultTransport,
-    ShmChunk,
-    ShmEncoded,
-    active_segments,
-    shm_available,
-)
 
 __all__ = [
     "CACHE_VERSION",
@@ -118,10 +107,4 @@ __all__ = [
     "failed",
     "resolve_jobs",
     "succeeded",
-    "DEFAULT_MIN_ELEMENTS",
-    "SharedResultTransport",
-    "ShmChunk",
-    "ShmEncoded",
-    "active_segments",
-    "shm_available",
 ]

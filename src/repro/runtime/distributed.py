@@ -86,7 +86,6 @@ from ..obs.spans import (
     span_to_record,
 )
 from .cache import config_key
-from .shm import sweep_dead_owner_segments
 
 if TYPE_CHECKING:
     from .runner import ExperimentRunner, ObsRequest, ObsSnapshot
@@ -666,9 +665,6 @@ class DistributedCoordinator:
                 "retry_backoff": runner.retry_backoff,
                 "timeout": runner.timeout,
                 "partial": runner.partial,
-                "shm": runner.shm,
-                "shm_min_elements": runner.shm_min_elements,
-                "trace_capacity": runner.trace_capacity,
                 "profile": runner.profile,
                 # Nodes parent their replication spans directly under the
                 # coordinator's sweep span, so the merged structure is the
@@ -817,9 +813,6 @@ class DistributedCoordinator:
             self._nodes_running = 0
             for handle in handles:
                 handle.terminate()
-            # Hard-killed nodes never ran their atexit sweeps; reclaim any
-            # shared-memory segments their in-node worker pools left behind.
-            sweep_dead_owner_segments()
 
     def _watch(
         self,
@@ -1112,9 +1105,6 @@ def run_node_chunks(
             retry_backoff=options["retry_backoff"],
             timeout=options["timeout"],
             partial=options["partial"],
-            shm=options["shm"],
-            shm_min_elements=options["shm_min_elements"],
-            trace_capacity=options["trace_capacity"],
             profile=bool(options.get("profile")),
         )
         chunk_configs = [configs[i] for i in chunk.indices]
@@ -1135,7 +1125,7 @@ def run_node_chunks(
         previous = set_span_collector(collector)
         try:
             computed = runner._execute(
-                fn, chunk_configs, local_positions, obs, transport=None,
+                fn, chunk_configs, local_positions, obs,
                 span_parent=sweep_parent,
             )
         except WorkerError as exc:

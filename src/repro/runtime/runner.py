@@ -31,20 +31,12 @@ cancelled at the deadline, and retries reschedule without poisoning a
 shared pool.  Successful results remain bit-identical to a fault-free
 serial run — workers are pure functions of their config.
 
-Two transport/observability layers ride on top of the backends:
-
-* **Zero-copy result transport** — when the process paths are active and
-  shared memory is available, a per-runner
-  :class:`~repro.runtime.shm.SharedResultTransport` lifts large numeric
-  time series out of worker results into shared-memory segments; only
-  descriptors cross the pipe, and the coordinator reconstructs
-  bit-identical values (``shm=False`` forces the plain pickle path).
-* **In-worker observability** — when a tracer or a real metrics registry
-  is installed on the coordinator, each replication runs under a private
-  worker-side registry + ring-buffer tracer; the compact snapshots ride
-  back with the results and are merged deterministically in
-  replication-index order, so ``--trace`` / ``--metrics-json`` produce
-  identical output at any ``--jobs N``.
+Results cross process boundaries by plain pickling.  When a tracer or a
+real metrics registry is installed on the coordinator, each replication
+runs under a private worker-side registry + ring-buffer tracer; the compact
+snapshots ride back with the results and are merged deterministically in
+replication-index order, so ``--trace`` / ``--metrics-json`` produce
+identical output at any ``--jobs N``.
 """
 
 from __future__ import annotations
@@ -88,7 +80,6 @@ from ..obs.spans import (
 )
 from ..obs.telemetry import RunTelemetry
 from ..obs.trace import RingBufferSink, Tracer, get_tracer, replay_records, set_tracer
-from .shm import DEFAULT_MIN_ELEMENTS, SharedResultTransport, shm_available
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -215,10 +206,10 @@ def drop_failures(results: Sequence[Any], context: str = "sweep") -> List[Any]:
     return succeeded(results)
 
 
-#: Default worker ring-buffer capacity (records per replication).  Sized so
-#: a full paper-scale replication fits; overflow is still counted and
-#: surfaced through ``telemetry.trace_dropped`` rather than lost silently.
-DEFAULT_TRACE_CAPACITY = 1 << 20
+#: Worker ring-buffer capacity (records per replication).  Sized so a full
+#: paper-scale replication fits; overflow is still counted and surfaced
+#: through ``telemetry.trace_dropped`` rather than lost silently.
+TRACE_CAPACITY = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -235,7 +226,6 @@ class ObsRequest:
     metrics: bool = False
     trace: bool = False
     trace_kinds: Optional[frozenset] = None
-    ring_capacity: int = DEFAULT_TRACE_CAPACITY
     #: Run the replication under cProfile; the raw stats dict rides back
     #: in the snapshot and is folded deterministically by the coordinator.
     profile: bool = False
@@ -293,7 +283,7 @@ def _observed_call(
     if obs is None:
         return fn(config), None
     registry = MetricsRegistry() if obs.metrics else None
-    sink = RingBufferSink(capacity=obs.ring_capacity) if obs.trace else None
+    sink = RingBufferSink(capacity=TRACE_CAPACITY) if obs.trace else None
     profiler = cProfile.Profile() if obs.profile else None
     prev_registry = set_registry(registry) if registry is not None else None
     prev_tracer = (
@@ -335,13 +325,8 @@ def _des_core_delta(before: Dict[str, int]) -> Dict[str, int]:
     }
 
 
-#: (fn, config, obs request, shm transport) — one pool task.
-_Payload = Tuple[
-    Callable[[Any], Any],
-    Any,
-    Optional[ObsRequest],
-    Optional[SharedResultTransport],
-]
+#: (fn, config, obs request) — one pool task.
+_Payload = Tuple[Callable[[Any], Any], Any, Optional[ObsRequest]]
 
 #: (ok, value-or-(exc, tb), worker seconds, DES events, DES events by
 #: core, obs snapshot) — one attempt.
@@ -353,10 +338,9 @@ def _call(payload: _Payload) -> _Message:
     attached on the coordinator side rather than lost in the pool.  The
     attempt's wall seconds and DES event count are measured here — inside
     the worker — so per-replication telemetry survives the process
-    boundary.  Large numeric payloads are lifted into shared memory after
-    the timed call; the observability snapshot rides back alongside the
+    boundary.  The observability snapshot rides back alongside the
     result."""
-    fn, config, obs, transport = payload
+    fn, config, obs = payload
     started = time.perf_counter()
     events_before = events_processed_total()
     cores_before = events_processed_by_core()
@@ -365,8 +349,6 @@ def _call(payload: _Payload) -> _Message:
         elapsed = time.perf_counter() - started
         events = events_processed_total() - events_before
         cores = _des_core_delta(cores_before)
-        if transport is not None:
-            result = transport.encode(result)
     except Exception as exc:  # noqa: BLE001 - re-raised with context
         return (
             False,
@@ -384,7 +366,6 @@ def _supervised_child(
     fn: Callable[[Any], Any],
     config: Any,
     obs: Optional[ObsRequest] = None,
-    transport: Optional[SharedResultTransport] = None,
 ) -> None:
     """Entry point of a supervised worker process: one attempt, one config."""
     started = time.perf_counter()
@@ -395,8 +376,6 @@ def _supervised_child(
         elapsed = time.perf_counter() - started
         events = events_processed_total() - events_before
         cores = _des_core_delta(cores_before)
-        if transport is not None:
-            result = transport.encode(result)
         message: _Message = (True, result, elapsed, events, cores, snapshot)
     except BaseException as exc:  # noqa: BLE001 - serialized to coordinator
         message = (
@@ -465,9 +444,6 @@ class ExperimentRunner:
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; hits skip
         simulation entirely.  Failed sweep points are never cached.
-    chunk_size:
-        Configs per pool task on the fast (fault-intolerant) pool path;
-        default splits the batch into about four chunks per worker.
     max_retries:
         Failed attempts allowed per config beyond the first (default 0:
         one attempt, fail hard — the pre-fault-tolerance behavior).
@@ -482,25 +458,6 @@ class ExperimentRunner:
         When True, a config that exhausts its attempts yields a
         :class:`FailedResult` in its result slot instead of raising
         :class:`WorkerError`, so one bad point cannot abort a sweep.
-    shm:
-        Zero-copy result transport.  ``None`` (default) enables it
-        whenever a process path is active and the platform supports
-        ``multiprocessing.shared_memory``; ``False`` forces the plain
-        pickle transport; ``True`` requests it explicitly but still falls
-        back to pickle where shared memory is unavailable.
-    shm_min_elements:
-        Minimum element count for a numeric sequence/array to be lifted
-        into shared memory (below it, pickling through the pipe is
-        cheaper than the descriptor bookkeeping).
-    worker_observability:
-        When True (default) and a tracer or a real metrics registry is
-        installed on the coordinator, every replication — serial or
-        pooled — runs under private per-replication collectors whose
-        snapshots are merged back deterministically in submission order.
-        False restores collector-blind workers (pre-merge behavior).
-    trace_capacity:
-        Worker-side trace ring-buffer capacity in records per
-        replication; overflow is counted in ``telemetry.trace_dropped``.
     profile:
         Run every replication under :mod:`cProfile` *in the worker*; the
         raw stats ride back with each observation snapshot and fold into
@@ -545,15 +502,10 @@ class ExperimentRunner:
         jobs: Union[int, str, None] = None,
         backend: Optional[str] = None,
         cache: Optional["ResultCache"] = None,
-        chunk_size: Optional[int] = None,
         max_retries: int = 0,
         retry_backoff: float = 0.0,
         timeout: Optional[float] = None,
         partial: bool = False,
-        shm: Optional[bool] = None,
-        shm_min_elements: int = DEFAULT_MIN_ELEMENTS,
-        worker_observability: bool = True,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         profile: bool = False,
         on_progress: Optional[Callable[[RunTelemetry], None]] = None,
         span_context: Optional[str] = None,
@@ -587,15 +539,10 @@ class ExperimentRunner:
             raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
         self.backend = backend
         self.cache = cache
-        self.chunk_size = chunk_size
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
         self.timeout = timeout
         self.partial = bool(partial)
-        self.shm = shm
-        self.shm_min_elements = int(shm_min_elements)
-        self.worker_observability = bool(worker_observability)
-        self.trace_capacity = int(trace_capacity)
         self.profile = bool(profile)
         self.on_progress = on_progress
         self.span_context = span_context
@@ -605,7 +552,6 @@ class ExperimentRunner:
         self.node_timeout = node_timeout
         self.max_node_restarts = int(max_node_restarts)
         self.node_transport = node_transport
-        self._transport: Optional[SharedResultTransport] = None
         self._sleep = sleep
         self._clock = clock
         self._span_ledger: Optional[SpanLedger] = None
@@ -671,18 +617,10 @@ class ExperimentRunner:
         try:
             if pending:
                 obs = self._obs_request()
-                transport = self._transport_for(len(pending))
-                try:
-                    computed = self._execute(
-                        fn, [configs[i] for i in pending], pending, obs,
-                        transport, label=label, span_parent=sweep_id,
-                    )
-                finally:
-                    # Workers are done (or reaped) by now: any segment still
-                    # carrying this run id is an orphan from a crashed or
-                    # cancelled attempt — reclaim it.
-                    if transport is not None:
-                        transport.sweep()
+                computed = self._execute(
+                    fn, [configs[i] for i in pending], pending, obs,
+                    label=label, span_parent=sweep_id,
+                )
                 for i, (value, _snapshot) in zip(pending, computed):
                     results[i] = value
                     if self.cache is not None and not isinstance(value, FailedResult):
@@ -711,7 +649,7 @@ class ExperimentRunner:
                 )
         return results
 
-    # -- observability / transport plumbing -------------------------------
+    # -- observability plumbing -------------------------------------------
 
     def _obs_request(self) -> Optional[ObsRequest]:
         """The per-batch observation request, or None when nothing is on.
@@ -720,8 +658,6 @@ class ExperimentRunner:
         tracer means workers trace (honoring its kind filter), a non-null
         registry means workers meter.
         """
-        if not self.worker_observability:
-            return None
         tracer = get_tracer()
         registry = get_registry()
         want_metrics = not isinstance(registry, NullRegistry)
@@ -738,37 +674,8 @@ class ExperimentRunner:
             metrics=want_metrics,
             trace=want_trace,
             trace_kinds=kinds,
-            ring_capacity=self.trace_capacity,
             profile=want_profile,
         )
-
-    def _transport_for(self, n: int) -> Optional[SharedResultTransport]:
-        """The shared transport when this batch will cross a process
-        boundary and shared memory works here; None → pickle path."""
-        if self.shm is False:
-            return None
-        uses_processes = self.backend == "process" and (
-            self.fault_tolerant or (self.jobs > 1 and n > 1)
-        )
-        if not uses_processes or not shm_available():
-            return None
-        if self._transport is None:
-            self._transport = SharedResultTransport(
-                min_elements=self.shm_min_elements
-            )
-            self._transport.register_atexit()
-        return self._transport
-
-    def _decode_result(
-        self, transport: Optional[SharedResultTransport], value: Any
-    ) -> Any:
-        if transport is None:
-            return value
-        value, nbytes = transport.decode(value)
-        if nbytes:
-            self.telemetry.shm_results += 1
-            self.telemetry.shm_bytes += nbytes
-        return value
 
     def _merge_observations(
         self,
@@ -811,7 +718,6 @@ class ExperimentRunner:
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
-        transport: Optional[SharedResultTransport],
         label: Optional[str] = None,
         span_parent: Optional[str] = None,
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
@@ -827,49 +733,13 @@ class ExperimentRunner:
         try:
             if self.fault_tolerant:
                 if self.backend == "process":
-                    return self._run_supervised(fn, configs, indices, obs, transport)
-                return self._run_serial_ft(fn, configs, indices, obs)
+                    return self._run_supervised(fn, configs, indices, obs)
+                return self._run_serial(fn, configs, indices, obs)
             if self.backend == "serial" or self.jobs == 1 or len(configs) <= 1:
                 return self._run_serial(fn, configs, indices, obs)
-            return self._run_pool(fn, configs, indices, obs, transport)
+            return self._run_pool(fn, configs, indices, obs)
         finally:
             self._span_ledger = None
-
-    def _run_serial(
-        self,
-        fn: Callable[[Any], Any],
-        configs: List[Any],
-        indices: List[int],
-        obs: Optional[ObsRequest],
-    ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
-        ledger = self._span_ledger
-        out: List[Tuple[Any, Optional[ObsSnapshot]]] = []
-        for config, index in zip(configs, indices):
-            started = time.perf_counter()
-            events_before = events_processed_total()
-            cores_before = events_processed_by_core()
-            try:
-                out.append(_observed_call(fn, config, obs))
-            except Exception as exc:
-                self.telemetry.failures += 1
-                if ledger is not None:
-                    ledger.attempt(index, "error", time.perf_counter() - started)
-                    ledger.settle(index, "failed")
-                self._progress()
-                raise WorkerError(
-                    config, index, exc, traceback.format_exc()
-                ) from exc
-            elapsed = time.perf_counter() - started
-            if ledger is not None:
-                ledger.attempt(index, "ok", elapsed)
-                ledger.settle(index, "ok")
-            self.telemetry.record_replication(
-                elapsed,
-                events_processed_total() - events_before,
-                _des_core_delta(cores_before),
-            )
-            self._progress()
-        return out
 
     def _run_pool(
         self,
@@ -877,14 +747,14 @@ class ExperimentRunner:
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
-        transport: Optional[SharedResultTransport],
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
         ledger = self._span_ledger
         workers = min(self.jobs, len(configs))
-        chunk = self.chunk_size or max(1, len(configs) // (workers * 4))
+        # About four pool tasks per worker.
+        chunk = max(1, len(configs) // (workers * 4))
         out: List[Tuple[Any, Optional[ObsSnapshot]]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = [(fn, config, obs, transport) for config in configs]
+            payloads = [(fn, config, obs) for config in configs]
             for pos, (ok, value, elapsed, events, cores, snapshot) in enumerate(
                 pool.map(_call, payloads, chunksize=chunk)
             ):
@@ -896,7 +766,7 @@ class ExperimentRunner:
                         ledger.settle(indices[pos], "failed")
                     self._progress()
                     raise WorkerError(configs[pos], indices[pos], exc, tb) from exc
-                out.append((self._decode_result(transport, value), snapshot))
+                out.append((value, snapshot))
                 if ledger is not None:
                     ledger.attempt(indices[pos], "ok", elapsed)
                     ledger.settle(indices[pos], "ok")
@@ -904,7 +774,7 @@ class ExperimentRunner:
                 self._progress()
         return out
 
-    # -- fault-tolerant paths ---------------------------------------------
+    # -- serial and supervised paths --------------------------------------
 
     def _backoff_delay(self, failed_attempts: int) -> float:
         """Seconds to wait after the ``failed_attempts``-th failure."""
@@ -929,14 +799,15 @@ class ExperimentRunner:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
 
-    def _run_serial_ft(
+    def _run_serial(
         self,
         fn: Callable[[Any], Any],
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
-        """Serial execution with retries, backoff, timeout, and partial."""
+        """In-process execution, with retries, backoff, timeout and
+        partial results when those options are set."""
 
         def attempt(config: Any) -> Tuple[Any, Optional[ObsSnapshot]]:
             # Capture *inside* the alarm window so an interrupted attempt
@@ -1005,7 +876,6 @@ class ExperimentRunner:
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
-        transport: Optional[SharedResultTransport],
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
         """Process-per-attempt execution with cancellation and retries.
 
@@ -1030,7 +900,7 @@ class ExperimentRunner:
             recv_end, send_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_supervised_child,
-                args=(send_end, fn, configs[pos], obs, transport),
+                args=(send_end, fn, configs[pos], obs),
                 daemon=True,
             )
             proc.start()
@@ -1118,10 +988,7 @@ class ExperimentRunner:
                     else:
                         proc.join()
                         if ok:
-                            results[pos] = (
-                                self._decode_result(transport, payload),
-                                snapshot,
-                            )
+                            results[pos] = (payload, snapshot)
                             done += 1
                             if ledger is not None:
                                 ledger.attempt(indices[pos], "ok", elapsed)

@@ -1,10 +1,11 @@
 """Tests for the ExperimentRunner: backends, ordering, errors, env parsing."""
 
+import math
 import os
 
 import pytest
 
-from repro.runtime import ExperimentRunner, WorkerError, resolve_jobs
+from repro.runtime import ExperimentRunner, FailedResult, WorkerError, resolve_jobs
 from repro.sim import figure6_config, simulate_twocell_stats
 
 
@@ -16,6 +17,15 @@ def _fail_on_negative(x):
     if x < 0:
         raise ValueError(f"bad input {x}")
     return x
+
+
+def _big_series(seed):
+    """A result with 4,096-element float and int series."""
+    return {
+        "seed": seed,
+        "series": [math.sin(seed + 0.001 * i) for i in range(4096)],
+        "counts": list(range(seed, seed + 4096)),
+    }
 
 
 def _figure6_sweep_configs():
@@ -51,6 +61,9 @@ def test_parallel_equals_serial_on_figure6_sweep():
     assert len(serial) == len(configs)
     for index, (a, b) in enumerate(zip(serial, parallel)):
         assert a == b, f"result {index} diverged between serial and parallel"
+    seeds = range(4)
+    assert (ExperimentRunner(jobs=2).run_many(_big_series, seeds)
+            == ExperimentRunner(jobs=1).run_many(_big_series, seeds))
 
 
 def test_empty_batch():
@@ -67,7 +80,7 @@ def test_explicit_backend_validation():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_error_carries_config(jobs):
-    runner = ExperimentRunner(jobs=jobs, chunk_size=1)
+    runner = ExperimentRunner(jobs=jobs)
     with pytest.raises(WorkerError) as excinfo:
         runner.run_many(_fail_on_negative, [3, 1, -7, 2])
     err = excinfo.value
@@ -75,10 +88,17 @@ def test_worker_error_carries_config(jobs):
     assert isinstance(err.cause, ValueError)
     assert "-7" in str(err)
     assert isinstance(err.__cause__, ValueError)
+    # With partial=True (supervised at jobs=2) only the failing slot holds
+    # a FailedResult; the others keep their results.
+    results = ExperimentRunner(jobs=jobs, partial=True).run_many(
+        _fail_on_negative, [3, 1, -7, 2]
+    )
+    assert results[:2] == [3, 1] and results[3] == 2
+    assert isinstance(results[2], FailedResult) and results[2].config == -7
 
 
 def test_pool_worker_error_includes_remote_traceback():
-    runner = ExperimentRunner(jobs=2, chunk_size=1)
+    runner = ExperimentRunner(jobs=2)
     with pytest.raises(WorkerError) as excinfo:
         runner.run_many(_fail_on_negative, [1, -1, 2, 3])
     assert "ValueError" in excinfo.value.worker_traceback
