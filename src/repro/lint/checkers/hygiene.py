@@ -45,7 +45,7 @@ REP305 = Rule(
     "REP305",
     "no-direct-speedups-import",
     "importing repro.des._speedups directly bypasses the core-selection "
-    "seam (availability probing, tracer/recycling fallback); construct "
+    "seam (availability probing, tracer fallback); construct "
     "environments through repro.des.engine.make_environment()",
 )
 
@@ -159,16 +159,16 @@ class SpeedupsImportChecker(Checker):
 
     ``repro.des._speedups`` is an *optional* accelerator; the only place
     allowed to touch it is the selection seam in ``repro/des/`` (which
-    probes availability and falls back to the pure kernel when tracing or
-    recycling is on).  Library code importing it directly would crash on
+    probes availability and falls back to the pure kernel when tracing is
+    on).  Library code importing it directly would crash on
     pure-only installs and skip the fallback rules.  Tests and tools are
     exempt — they exercise the extension on purpose.
     """
 
     _MESSAGE = (
         "direct import of the compiled DES core; environments must come "
-        "from repro.des.engine.make_environment() so availability and "
-        "tracing/recycling fallbacks apply"
+        "from repro.des.engine.make_environment() so the availability and "
+        "tracing fallbacks apply"
     )
 
     def _in_scope(self) -> bool:

@@ -3,9 +3,8 @@
 Each checker here runs once per lint invocation against the
 :class:`~repro.lint.context.ProjectContext` rather than once per module.
 They exist precisely for the violations the per-file families cannot see:
-a seeded RNG returned through two helpers and parked in a module global, a
-set built in ``core/`` and iterated in ``sim/``, a shared-memory handle
-whose creator and destroyer live in different functions.
+a seeded RNG returned through two helpers and parked in a module global, or
+a set built in ``core/`` and iterated in ``sim/``.
 
 Test modules are never analyzed: their fixtures deliberately violate the
 rules, and grandfathering them would bloat the baseline.
@@ -17,7 +16,7 @@ import ast
 from typing import List, Optional, Tuple
 
 from ..context import ProjectContext
-from ..dataflow import FunctionAnalysis, Taint, owner_documented
+from ..dataflow import FunctionAnalysis, Taint
 from ..findings import Finding
 from ..project import FunctionInfo, ModuleInfo, _expr_is_set
 from ..registry import Rule, register_project
@@ -25,7 +24,6 @@ from ..registry import Rule, register_project
 __all__ = [
     "RngEscapeChecker",
     "HashOrderTaintChecker",
-    "ShmLifecycleChecker",
     "PluginStateChecker",
 ]
 
@@ -42,12 +40,6 @@ REP402 = Rule(
     "a set value crosses a function boundary into unsorted iteration "
     "inside a simulation decision path; hash order diverges between "
     "interpreters",
-)
-REP403 = Rule(
-    "REP403",
-    "shm-lifecycle-interprocedural",
-    "a SharedMemory handle is closed/unlinked in a different function than "
-    "its creation without a documented owner transfer",
 )
 REP404 = Rule(
     "REP404",
@@ -289,50 +281,6 @@ class HashOrderTaintChecker(ProjectChecker):
         ):
             return iter_node.func.attr in configured
         return False
-
-
-@register_project(REP403)
-class ShmLifecycleChecker(ProjectChecker):
-    """SharedMemory creators must finish (or document handing off) the
-    lifecycle.
-
-    REP204 trusts ``repro/runtime/shm.py`` wholesale and demands
-    ``try/finally`` elsewhere.  This rule audits *every* creating function,
-    including the home module: either the creator provably reaches both
-    ``.close()`` and ``.unlink()`` (directly or via a callee that does it
-    to the passed handle), or its docstring documents the ownership
-    transfer (mentions owner/ownership/lifecycle/transfer).
-    """
-
-    def run(self) -> List[Finding]:
-        df = self.project.dataflow
-        for info in self._modules():
-            for fi in self._functions(info):
-                analysis = df.analysis_for(fi.key)
-                if analysis is None or not analysis.shm_events:
-                    continue
-                if owner_documented(fi):
-                    continue
-                for event in analysis.shm_events:
-                    if event.closed and event.unlinked:
-                        continue
-                    missing = " and ".join(
-                        op for op, done in (("close()", event.closed),
-                                            ("unlink()", event.unlinked))
-                        if not done
-                    )
-                    detail = (
-                        "the handle escapes this function"
-                        if event.escapes else "the handle never reaches them"
-                    )
-                    self.report(
-                        "REP403", info.path, _at(event.line),
-                        f"SharedMemory created in {fi.dotted} without "
-                        f"{missing} here ({detail}); finish the lifecycle "
-                        "locally or document the owner transfer in the "
-                        "docstring",
-                    )
-        return self.findings
 
 
 @register_project(REP404)

@@ -7,12 +7,6 @@ which is exactly how a "works on my laptop, dies in CI" sweep is born.
 Module-global rebinding from function bodies is the second trap: workers
 mutate their *copy* of the module, the coordinator never sees it, and
 serial and parallel runs silently diverge.
-
-Raw ``multiprocessing.shared_memory`` use is the third: a segment that is
-closed but never unlinked outlives the run in ``/dev/shm`` until reboot.
-The zero-copy transport (:mod:`repro.runtime.shm`) owns segment lifecycle
-— creation, decode-side unlink, orphan sweeping — so any ``SharedMemory``
-construction outside it must at least guarantee its own cleanup.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from typing import Dict, Set
 from ..registry import Rule, register
 from .base import Checker
 
-__all__ = ["PoolDispatchChecker", "GlobalMutationChecker", "SharedMemoryChecker"]
+__all__ = ["PoolDispatchChecker", "GlobalMutationChecker"]
 
 REP201 = Rule(
     "REP201",
@@ -36,13 +30,6 @@ REP202 = Rule(
     "no-global-rebinding",
     "rebinding module-level state from a function body diverges between "
     "pool workers and the coordinator; thread state explicitly",
-)
-REP204 = Rule(
-    "REP204",
-    "shm-lifecycle-confinement",
-    "raw SharedMemory segments belong to repro.runtime.shm (which owns "
-    "close/unlink/orphan-sweep); elsewhere they must sit in a try/finally "
-    "that both close()s and unlink()s the segment",
 )
 
 #: Callable attributes that dispatch work to a process pool.
@@ -125,87 +112,6 @@ class GlobalMutationChecker(Checker):
                         "parallel runs diverge — pass state explicitly",
                     )
         self.generic_visit(node)
-
-
-#: The one module allowed to construct raw segments: it owns the lifecycle.
-_SHM_HOME = "repro/runtime/shm.py"
-
-#: Names a SharedMemory construction resolves to (imported or lazily bound).
-_SHM_NAMES = {
-    "SharedMemory",
-    "multiprocessing.shared_memory.SharedMemory",
-    "shared_memory.SharedMemory",
-}
-
-
-@register(REP204)
-class SharedMemoryChecker(Checker):
-    """``SharedMemory(...)`` outside the transport needs guaranteed cleanup.
-
-    A created-but-never-unlinked segment persists in ``/dev/shm`` after the
-    process dies; a closed-but-not-unlinked one does too.  The transport
-    module guarantees both (decode-side unlink plus run-id orphan sweeps),
-    so construction there is exempt.  Anywhere else the call must be
-    lexically inside a ``try`` whose ``finally`` calls both ``.close()``
-    and ``.unlink()``.
-    """
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = self.call_name(node)
-        if (
-            name in _SHM_NAMES
-            and not self.ctx.path.endswith(_SHM_HOME)
-            and not _cleanup_guaranteed(node)
-        ):
-            self.report(
-                "REP204", node,
-                "SharedMemory segment created outside repro.runtime.shm "
-                "without a try/finally that close()s and unlink()s it; "
-                "route the payload through SharedResultTransport or add "
-                "guaranteed cleanup",
-            )
-        self.generic_visit(node)
-
-
-def _cleanup_guaranteed(node: ast.Call) -> bool:
-    """True when a ``finally`` that closes *and* unlinks covers the call.
-
-    The covering ``try`` either encloses the call or opens on a later line
-    of the same function (the usual ``seg = SharedMemory(...)`` /
-    ``try: ... finally: seg.close(); seg.unlink()`` idiom).
-    """
-    scope: ast.AST = node
-    parent = getattr(node, "parent", None)
-    while parent is not None:
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = parent
-            break
-        scope = parent
-        parent = getattr(parent, "parent", None)
-    for sub in ast.walk(scope):
-        if not (isinstance(sub, ast.Try) and sub.finalbody):
-            continue
-        if not (_encloses(sub, node) or sub.lineno >= node.lineno):
-            continue  # a try entirely before the call can't cover it
-        seen: Set[str] = set()
-        for stmt in sub.finalbody:
-            for call in ast.walk(stmt):
-                if isinstance(call, ast.Call) and isinstance(
-                    call.func, ast.Attribute
-                ):
-                    seen.add(call.func.attr)
-        if "close" in seen and "unlink" in seen:
-            return True
-    return False
-
-
-def _encloses(outer: ast.AST, inner: ast.AST) -> bool:
-    parent = getattr(inner, "parent", None)
-    while parent is not None:
-        if parent is outer:
-            return True
-        parent = getattr(parent, "parent", None)
-    return False
 
 
 def _names_assigned(func: ast.AST) -> Set[str]:

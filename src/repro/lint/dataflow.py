@@ -3,9 +3,8 @@
 The framework is a small abstract interpreter: each function body is
 walked in source order with an environment mapping local names to *taint
 sets*, and the per-function results are condensed into
-:class:`FunctionSummary` objects (what a call returns, which parameters
-flow to the return value, which parameters get ``close``/``unlink`` called
-on them).  Summaries feed call sites, call sites feed parameter taints,
+:class:`FunctionSummary` objects (what a call returns and which
+parameters flow to the return value).  Summaries feed call sites, call sites feed parameter taints,
 and the whole thing iterates to a fixpoint (bounded, monotone — taint sets
 only grow) so a seeded RNG threaded through three helpers in three modules
 still reaches the sink with its provenance intact.
@@ -20,20 +19,17 @@ Taint kinds:
     a hash-ordered ``set``/``frozenset`` value — iterating one in a
     decision path diverges under ``PYTHONHASHSEED`` (REP402).  Dict views
     are insertion-ordered in every supported interpreter and deliberately
-    *not* tainted;
-``shm``
-    a ``SharedMemory`` handle whose lifecycle REP403 audits.
+    *not* tainted.
 
 Parameter *markers* (kind ``#p<i>``) ride the same lattice so aliasing
-falls out for free: ``h = handle; h.close()`` still registers as closing
-parameter ``i``.  Markers never escape the public query API.
+falls out for free: ``h = param; return h`` still registers parameter ``i``
+as flowing to the return value.  Markers never escape the public query API.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph
@@ -47,7 +43,6 @@ from .project import (
 __all__ = [
     "Taint",
     "FunctionSummary",
-    "ShmEvent",
     "FunctionAnalysis",
     "ProjectDataflow",
 ]
@@ -63,21 +58,12 @@ _RNG_CONSTRUCTORS = {
     "numpy.random.RandomState",
 }
 
-#: Constructors producing shared-memory handles.
-_SHM_CONSTRUCTORS = {
-    "multiprocessing.shared_memory.SharedMemory",
-    "shared_memory.SharedMemory",
-}
-
 #: Calls that return fresh, deterministically ordered data: taint dies.
 _SANITIZERS = {"sorted", "len", "sum", "min", "max", "repr", "str", "id",
                "bool", "int", "float"}
 
 #: Calls that preserve the (hash) order of their first argument.
 _ORDER_PRESERVING = {"list", "tuple", "iter", "reversed", "enumerate"}
-
-#: Docstring marker satisfying REP403's "documented owner transfer".
-_OWNER_DOC = re.compile(r"own(?:er|ership)?|lifecycle|transfer", re.IGNORECASE)
 
 _MAX_ROUNDS = 8
 
@@ -86,7 +72,7 @@ _MAX_ROUNDS = 8
 class Taint:
     """One provenance-carrying taint atom."""
 
-    kind: str      #: "rng" | "set" | "shm" | "#p<i>" (parameter marker)
+    kind: str      #: "rng" | "set" | "#p<i>" (parameter marker)
     origin: str    #: dotted function (or class) where the value was born
     line: int      #: birth line in the origin module
     crossed: bool = False  #: has the value crossed a function boundary?
@@ -114,29 +100,15 @@ def _real(taints: TaintSet) -> TaintSet:
 
 
 @dataclass
-class ShmEvent:
-    """One ``SharedMemory(...)`` creation and its local lifecycle."""
-
-    line: int
-    var: Optional[str]          #: local name bound to the handle, if any
-    closed: bool = False        #: .close() reached in the creating function
-    unlinked: bool = False      #: .unlink() reached in the creating function
-    escapes: bool = False       #: handle leaves the creating function
-
-
-@dataclass
 class FunctionSummary:
     """Condensed effect of calling one function."""
 
     key: Tuple[str, str]
     returns: TaintSet = EMPTY               #: taints of the return value
     param_to_return: FrozenSet[int] = frozenset()
-    closes_params: FrozenSet[int] = frozenset()
-    unlinks_params: FrozenSet[int] = frozenset()
 
     def state(self) -> Tuple:
-        return (self.returns, self.param_to_return,
-                self.closes_params, self.unlinks_params)
+        return (self.returns, self.param_to_return)
 
     def to_dict(self) -> Dict[str, object]:
         """Deterministic JSON shape for golden tests (markers elided)."""
@@ -146,8 +118,6 @@ class FunctionSummary:
                 {f"{t.kind}@{t.origin}:{t.line}" for t in _real(self.returns)}
             ),
             "param_to_return": sorted(self.param_to_return),
-            "closes_params": sorted(self.closes_params),
-            "unlinks_params": sorted(self.unlinks_params),
         }
 
 
@@ -157,7 +127,7 @@ class FunctionAnalysis:
     Exposes the per-node taint map the inter-procedural checkers query:
     ``taint_of(node)`` for expressions, ``name_taints(name)`` for the join
     of everything ever bound to a local, plus the structured side tables
-    (global writes, module writes, default-argument taints, shm events).
+    (global writes, module writes, default-argument taints).
     """
 
     def __init__(
@@ -180,15 +150,12 @@ class FunctionAnalysis:
         self._node_taints: Dict[int, TaintSet] = {}
         self.returns: Set[Taint] = set()
         self.param_to_return: Set[int] = set()
-        self.closes_params: Set[int] = set()
-        self.unlinks_params: Set[int] = set()
         #: (name, line, taints) for ``global X`` rebinds in this function
         self.global_writes: List[Tuple[str, int, TaintSet]] = []
         #: (name, line, taints) for module-level assignments (module pass)
         self.module_writes: List[Tuple[str, int, TaintSet]] = []
         #: (funcname, argname, line, taints) for default-arg expressions
         self.default_taints: List[Tuple[str, str, int, TaintSet]] = []
-        self.shm_events: List[ShmEvent] = []
         #: call-site argument taints pushed to callees during fixpoint
         self.callee_args: List[Tuple[Tuple[str, str], Dict[int, TaintSet]]] = []
 
@@ -227,8 +194,6 @@ class FunctionAnalysis:
             key=key,
             returns=frozenset(self.returns),
             param_to_return=frozenset(self.param_to_return),
-            closes_params=frozenset(self.closes_params),
-            unlinks_params=frozenset(self.unlinks_params),
         )
 
     # -- statement execution ------------------------------------------------
@@ -258,7 +223,6 @@ class FunctionAnalysis:
                         self.param_to_return.add(int(t.kind[2:]))
                     elif not t.is_marker:
                         self.returns.add(t)
-                self._mark_shm_escape(stmt.value)
         elif isinstance(stmt, ast.Expr):
             self._eval(stmt.value)
         elif isinstance(stmt, ast.Global):
@@ -345,10 +309,6 @@ class FunctionAnalysis:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._bind(element, taints, stmt)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            # Storing into an object/container: the handle escapes.
-            if isinstance(stmt, ast.Assign):
-                self._mark_shm_escape(stmt.value)
         if isinstance(target, ast.Starred):
             self._bind(target.value, taints, stmt)
 
@@ -473,31 +433,16 @@ class FunctionAnalysis:
         dotted = self.info.resolve_dotted(func)
         if dotted in _RNG_CONSTRUCTORS and (node.args or node.keywords):
             return frozenset({Taint("rng", self.owner, node.lineno)})
-        if dotted is not None and (
-            dotted in _SHM_CONSTRUCTORS or dotted.endswith(".SharedMemory")
-        ):
-            event = ShmEvent(line=node.lineno, var=self._assigned_name(node))
-            self.shm_events.append(event)
-            return frozenset({Taint("shm", self.owner, node.lineno)})
 
-        # .close()/.unlink() on a parameter-marked handle
+        # The receiver of an argument-free method call runs too, so calls
+        # inside it reach the fixpoint.
         if isinstance(func, ast.Attribute) and not node.args:
-            recv = self._eval(func.value)
-            if func.attr in {"close", "unlink"}:
-                for t in recv:
-                    if t.is_marker and t.origin == self.owner:
-                        idx = int(t.kind[2:])
-                        if func.attr == "close":
-                            self.closes_params.add(idx)
-                        else:
-                            self.unlinks_params.add(idx)
-                self._note_shm_lifecycle(func.value, func.attr)
+            self._eval(func.value)
 
         callee = self.df.graph.resolve_callee(
             self.info, self.fi, node, self._local_types
         )
         if callee is None:
-            self._mark_escaping_args(node, arg_taints)
             return EMPTY
 
         param_map = self._map_args(callee, node, arg_taints, kw_taints)
@@ -508,7 +453,6 @@ class FunctionAnalysis:
         result: Set[Taint] = set(_cross(_real(summary.returns)))
         for idx in summary.param_to_return:
             result.update(_cross(_real(param_map.get(idx, EMPTY))))
-        self._apply_shm_summary(node, callee, summary)
         return frozenset(result)
 
     # -- call-site helpers --------------------------------------------------
@@ -540,66 +484,6 @@ class FunctionAnalysis:
                         param_map.get(names.index(name), EMPTY) | taints
                     )
         return param_map
-
-    def _assigned_name(self, call: ast.Call) -> Optional[str]:
-        parent = getattr(call, "parent", None)
-        if isinstance(parent, ast.Assign) and len(parent.targets) == 1:
-            target = parent.targets[0]
-            if isinstance(target, ast.Name):
-                return target.id
-        if isinstance(parent, ast.withitem) and isinstance(
-            parent.optional_vars, ast.Name
-        ):
-            return parent.optional_vars.id
-        return None
-
-    def _note_shm_lifecycle(self, receiver: ast.expr, op: str) -> None:
-        if not isinstance(receiver, ast.Name):
-            return
-        for event in self.shm_events:
-            if event.var == receiver.id:
-                if op == "close":
-                    event.closed = True
-                else:
-                    event.unlinked = True
-
-    def _apply_shm_summary(
-        self,
-        node: ast.Call,
-        callee: Tuple[str, str],
-        summary: FunctionSummary,
-    ) -> None:
-        """Passing a handle to a callee that closes/unlinks it counts."""
-        for i, arg in enumerate(node.args):
-            if not isinstance(arg, ast.Name):
-                continue
-            for event in self.shm_events:
-                if event.var != arg.id:
-                    continue
-                handled = False
-                for idx in (i, i + 1):  # tolerate self-offset ambiguity
-                    if idx in summary.closes_params:
-                        event.closed = True
-                        handled = True
-                    if idx in summary.unlinks_params:
-                        event.unlinked = True
-                        handled = True
-                if not handled:
-                    event.escapes = True
-
-    def _mark_escaping_args(
-        self, node: ast.Call, arg_taints: List[TaintSet]
-    ) -> None:
-        """Handles passed to unresolved calls escape the creating function."""
-        for arg in node.args:
-            if isinstance(arg, ast.Name):
-                self._mark_shm_escape(arg)
-
-    def _mark_shm_escape(self, value: ast.expr) -> None:
-        if isinstance(value, ast.Name):
-            for event in self.shm_events:
-                if event.var == value.id:
-                    event.escapes = True
 
 
 class ProjectDataflow:
@@ -691,20 +575,7 @@ class ProjectDataflow:
         for key in sorted(self.summaries):
             summary = self.summaries[key]
             entry = summary.to_dict()
-            if (entry["returns"] or entry["param_to_return"]
-                    or entry["closes_params"] or entry["unlinks_params"]):
+            if entry["returns"] or entry["param_to_return"]:
                 out.append(entry)
         return out
 
-
-def owner_documented(fi: FunctionInfo) -> bool:
-    """REP403's escape hatch: the creating function documents the owner."""
-    doc = ast.get_docstring(fi.node)  # type: ignore[arg-type]
-    if doc and _OWNER_DOC.search(doc):
-        return True
-    parent = getattr(fi.node, "parent", None)
-    if isinstance(parent, ast.ClassDef):
-        cls_doc = ast.get_docstring(parent)
-        if cls_doc and _OWNER_DOC.search(cls_doc):
-            return True
-    return False

@@ -228,54 +228,6 @@ def test_rep402_outside_decision_packages_is_clean(tmp_path, monkeypatch):
     assert result.findings == [], [f.render() for f in result.findings]
 
 
-# -- REP403: shm lifecycle ---------------------------------------------------
-
-SHM_TREE = {
-    # Lives at the path REP204 trusts wholesale: only the project-level
-    # lifecycle audit can see these.
-    "src/repro/runtime/shm.py": (
-        "from multiprocessing import shared_memory\n"
-        "\n"
-        "\n"
-        "def leak_segment(name, size):\n"
-        "    seg = shared_memory.SharedMemory(name=name, create=True, "
-        "size=size)\n"
-        "    return seg\n"
-        "\n"
-        "\n"
-        "def finish(seg):\n"
-        "    seg.close()\n"
-        "    seg.unlink()\n"
-        "\n"
-        "\n"
-        "def delegated(name, size):\n"
-        "    seg = shared_memory.SharedMemory(name=name, create=True, "
-        "size=size)\n"
-        "    finish(seg)\n"
-        "\n"
-        "\n"
-        "def documented(name, size):\n"
-        "    '''Create a segment; the caller takes ownership of unlinking.'''\n"
-        "    seg = shared_memory.SharedMemory(name=name, create=True, "
-        "size=size)\n"
-        "    return seg\n"
-    ),
-}
-
-
-def test_rep403_flags_only_the_undocumented_leak(tmp_path, monkeypatch):
-    write_tree(tmp_path, SHM_TREE)
-    result = lint_tree(tmp_path, monkeypatch)
-    assert [f.rule for f in result.findings] == ["REP403"]
-    finding = result.findings[0]
-    # Only ``leak_segment`` trips: ``delegated`` hands the segment to a
-    # callee whose summary closes *and* unlinks it, and ``documented``
-    # declares the ownership transfer in its docstring.
-    assert "leak_segment" in finding.message
-    assert "close() and unlink()" in finding.message
-    assert_per_file_silent(tmp_path, monkeypatch, SHM_TREE)
-
-
 # -- REP404: plugin state ----------------------------------------------------
 
 PLUGIN_TREE = {
@@ -409,7 +361,7 @@ def test_dataflow_summaries_match_golden(golden_project):
 
 # -- execution modes: jobs, cache, determinism -------------------------------
 
-MIXED_TREE = {**RNG_MODULE_GLOBAL, **SET_CONSUMER, **PLUGIN_TREE, **SHM_TREE}
+MIXED_TREE = {**RNG_MODULE_GLOBAL, **SET_CONSUMER, **PLUGIN_TREE}
 
 
 def _rendered(result):

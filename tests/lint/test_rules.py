@@ -486,82 +486,6 @@ def test_rep202_negative_outside_sim_and_engine():
     """, path=TOOL_PATH)
 
 
-# -- REP204: SharedMemory lifecycle confinement ------------------------------
-
-
-def test_rep204_positive_bare_construction():
-    assert_triggers("REP204", """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def stash(buf):
-            seg = SharedMemory(create=True, size=len(buf))
-            seg.buf[:len(buf)] = buf
-            return seg.name
-    """, path=PLAIN_PATH, line=5)
-
-
-def test_rep204_positive_dotted_construction():
-    assert_triggers("REP204", """
-        import multiprocessing.shared_memory
-
-        def stash(buf):
-            seg = multiprocessing.shared_memory.SharedMemory(
-                create=True, size=len(buf)
-            )
-            return seg.name
-    """, path=PLAIN_PATH, line=5)
-
-
-def test_rep204_positive_close_without_unlink():
-    # close() alone leaks the segment in /dev/shm; both calls are required.
-    assert_triggers("REP204", """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def peek(name):
-            seg = None
-            try:
-                seg = SharedMemory(name=name)
-                return bytes(seg.buf[:8])
-            finally:
-                if seg is not None:
-                    seg.close()
-    """, path=PLAIN_PATH, line=7)
-
-
-def test_rep204_negative_guarded_construction():
-    assert_clean("REP204", """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def roundtrip(buf):
-            seg = SharedMemory(create=True, size=len(buf))
-            try:
-                seg.buf[:len(buf)] = buf
-                return bytes(seg.buf[:len(buf)])
-            finally:
-                seg.close()
-                seg.unlink()
-    """, path=PLAIN_PATH)
-
-
-def test_rep204_negative_transport_module_exempt():
-    assert_clean("REP204", """
-        from multiprocessing.shared_memory import SharedMemory
-
-        def _create_segment(name, size):
-            return SharedMemory(name=name, create=True, size=size)
-    """, path="src/repro/runtime/shm.py")
-
-
-def test_rep204_negative_unrelated_call():
-    assert_clean("REP204", """
-        class SharedState:
-            pass
-
-        def build():
-            return SharedState()
-    """, path=PLAIN_PATH)
-
-
 # -- REP301: no float clock equality ----------------------------------------
 
 
@@ -845,9 +769,9 @@ def test_rep304_negative_outside_engine_and_obs():
 ALL_RULE_IDS = [
     "REP001", "REP002", "REP003", "REP004", "REP005",
     "REP101", "REP102", "REP103",
-    "REP201", "REP202", "REP204",
+    "REP201", "REP202",
     "REP301", "REP302", "REP303", "REP304", "REP305",
-    "REP401", "REP402", "REP403", "REP404",
+    "REP401", "REP402", "REP404",
 ]
 
 
