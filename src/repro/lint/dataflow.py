@@ -4,10 +4,11 @@ The framework is a small abstract interpreter: each function body is
 walked in source order with an environment mapping local names to *taint
 sets*, and the per-function results are condensed into
 :class:`FunctionSummary` objects (what a call returns and which
-parameters flow to the return value).  Summaries feed call sites, call sites feed parameter taints,
-and the whole thing iterates to a fixpoint (bounded, monotone — taint sets
-only grow) so a seeded RNG threaded through three helpers in three modules
-still reaches the sink with its provenance intact.
+parameters flow to the return value).  Summaries feed call sites, call
+sites feed parameter taints, and the whole thing iterates to a fixpoint
+(bounded, monotone — taint sets only grow) so a seeded RNG threaded
+through three helpers in three modules still reaches the sink with its
+provenance intact.
 
 Taint kinds:
 
