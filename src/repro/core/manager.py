@@ -32,7 +32,7 @@ from typing import (
 
 from ..profiles.server import ProfileServer
 from ..traffic.connection import Connection, ConnectionState
-from .maxmin import MaxMinProblem, maxmin_allocation
+from .maxmin import _EPS, MaxMinProblem, maxmin_allocation
 from .qos import QoSRequest
 from .statmob import StaticMobileClassifier
 
@@ -341,9 +341,11 @@ class CellularResourceManager:
         now = self.env.now
         cell = self.cells[cell_id]
         link = cell.link
-        problem = MaxMinProblem()
-        problem.add_link(cell_id, max(0.0, link.excess_available))
+        # Read before the static tests: their on_static callback may change
+        # the ledger.
+        capacity = max(0.0, link.excess_available)
         conns: List[Connection] = []
+        demands: List[float] = []
         for conn_id in link.allocations:
             conn = self.connections.get(conn_id)
             if conn is None or conn.state is not ConnectionState.ACTIVE:
@@ -351,10 +353,18 @@ class CellularResourceManager:
             if conn.qos.bounds is None:
                 continue
             owner_static = self.statmob.is_static(conn.portable_id, now)
-            demand = conn.qos.bounds.span if owner_static else 0.0
-            problem.add_connection(conn_id, [cell_id], demand)
             conns.append(conn)
-        shares = maxmin_allocation(problem)
+            demands.append(conn.qos.bounds.span if owner_static else 0.0)
+        if any(demand > _EPS for demand in demands):
+            problem = MaxMinProblem()
+            problem.add_link(cell_id, capacity)
+            for conn, demand in zip(conns, demands):
+                problem.add_connection(conn.conn_id, [cell_id], demand)
+            shares = maxmin_allocation(problem)
+        else:
+            # Progressive filling freezes every connection at zero before
+            # its first round when none wants excess; most calls are these.
+            shares = {conn.conn_id: 0.0 for conn in conns}
         for conn in conns:
             share = shares.get(conn.conn_id, 0.0)
             link.set_excess(conn.conn_id, share)

@@ -1,7 +1,7 @@
 """Profiles substrate: Table 1 records, histories, zone servers, caches."""
 
 from .cache import ProfileCache
-from .history import HandoffHistory, HandoffRecord
+from .history import CountedHandoffHistory, HandoffHistory, HandoffRecord
 from .records import (
     BookingCalendar,
     CellClass,
@@ -14,6 +14,7 @@ from .zones import ZoneDirectory
 
 __all__ = [
     "ProfileCache",
+    "CountedHandoffHistory",
     "HandoffHistory",
     "HandoffRecord",
     "BookingCalendar",

@@ -2,15 +2,16 @@
 
 The profile server keeps "the last N_pP handoffs" per portable and "the last
 N_pC handoffs" per cell (Section 3.4.3); predictions are computed by
-aggregating these windows.
+aggregating these windows.  A portable's window is scanned when queried; a
+cell's keeps its aggregate as counts (:class:`CountedHandoffHistory`).
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, Hashable, Optional, Tuple, Union
+from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
 
-__all__ = ["HandoffRecord", "HandoffHistory"]
+__all__ = ["HandoffRecord", "HandoffHistory", "CountedHandoffHistory"]
 
 
 class HandoffRecord(tuple):
@@ -71,14 +72,28 @@ class HandoffHistory:
         self, current: Hashable, previous: Optional[Hashable] = None
     ) -> Counter:
         """Counts of next-cells observed from ``current`` (optionally
-        conditioned on ``previous``)."""
+        conditioned on ``previous``), keyed in order of first occurrence in
+        the window.
+
+        Every aggregation query goes through this method, and
+        ``perfbench/tracing.py`` times it by name on this class, so
+        subclasses change how the counts are found (:meth:`_count_next`),
+        never this method.
+        """
+        return self._count_next(current, previous)
+
+    def _count_next(
+        self, current: Hashable, previous: Optional[Hashable]
+    ) -> Counter:
         counts: Counter = Counter()
-        for rec in self._records:
-            if rec.current != current:
-                continue
-            if previous is not None and rec.previous != previous:
-                continue
-            counts[rec.next] += 1
+        if previous is None:
+            for _, cur, nxt in self._records:
+                if cur == current:
+                    counts[nxt] += 1
+        else:
+            for prev, cur, nxt in self._records:
+                if cur == current and prev == previous:
+                    counts[nxt] += 1
         return counts
 
     def transition_probabilities(
@@ -118,3 +133,74 @@ class HandoffHistory:
             ctx: min(counts, key=lambda c: (-counts[c], repr(c)))
             for ctx, counts in by_context.items()
         }
+
+
+def _contexts_of(
+    previous: Optional[Hashable], current: Hashable
+) -> Tuple[Tuple[Optional[Hashable], Hashable], ...]:
+    """The ``(previous, current)`` query contexts a record counts towards:
+    the unconditioned ``(None, current)``, and its own when it has a
+    previous cell."""
+    if previous is None:
+        return ((None, current),)
+    return ((None, current), (previous, current))
+
+
+def _first_seq(item: Tuple[Hashable, List[int]]) -> int:
+    return item[1][0]
+
+
+class CountedHandoffHistory(HandoffHistory):
+    """A cell profile's window, with its aggregate kept up to date.
+
+    Table 1's cell profile is, per previous cell, the number of handoffs to
+    each neighbour over the last N_pC handoffs, and every prediction reads
+    it.  So besides the window, each query context (see
+    :func:`_contexts_of`) keeps, per next cell, the sequence numbers of its
+    records in the window.  :meth:`record` appends the new record's number
+    and drops the evicted record's, which is always the oldest; a query
+    costs O(neighbours) instead of O(window), and ordering the next cells
+    by their oldest number reproduces the scan's first-occurrence order.
+
+    Portable profiles keep the plain scan: there are many more of them, and
+    most are never queried.
+    """
+
+    __slots__ = ("_seq", "_contexts")
+
+    def __init__(self, window: int = 200):
+        super().__init__(window)
+        self._seq = 0
+        self._contexts: Dict[
+            Tuple[Optional[Hashable], Hashable], Dict[Hashable, List[int]]
+        ] = {}
+
+    def record(
+        self, previous: Optional[Hashable], current: Hashable, next_: Hashable
+    ) -> None:
+        contexts = self._contexts
+        if len(self._records) == self.window:
+            old_previous, old_current, old_next = self._records[0]
+            for key in _contexts_of(old_previous, old_current):
+                by_next = contexts[key]
+                seqs = by_next[old_next]
+                del seqs[0]
+                if not seqs:
+                    del by_next[old_next]
+                    if not by_next:
+                        del contexts[key]
+        super().record(previous, current, next_)
+        seq = self._seq
+        self._seq = seq + 1
+        for key in _contexts_of(previous, current):
+            contexts.setdefault(key, {}).setdefault(next_, []).append(seq)
+
+    def _count_next(
+        self, current: Hashable, previous: Optional[Hashable]
+    ) -> Counter:
+        counts: Counter = Counter()
+        by_next = self._contexts.get((previous, current))
+        if by_next:
+            for nxt, seqs in sorted(by_next.items(), key=_first_seq):
+                counts[nxt] = len(seqs)
+        return counts

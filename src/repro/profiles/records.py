@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from .history import HandoffHistory
+from .history import CountedHandoffHistory, HandoffHistory
 
 __all__ = ["CellClass", "Meeting", "BookingCalendar", "CellProfile", "PortableProfile"]
 
@@ -131,7 +131,9 @@ class CellProfile:
     occupants: Set[Hashable] = field(default_factory=set)
     #: Booking calendar — only meaningful for meeting rooms.
     calendar: BookingCalendar = field(default_factory=BookingCalendar)
-    history: HandoffHistory = field(default_factory=lambda: HandoffHistory(window=500))
+    history: HandoffHistory = field(
+        default_factory=lambda: CountedHandoffHistory(window=500)
+    )
 
     def add_neighbor(self, cell_id: Hashable, cell_class: CellClass = CellClass.UNKNOWN) -> None:
         self.neighbors.add(cell_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from .history import HandoffHistory
+from .history import CountedHandoffHistory, HandoffHistory
 from .records import CellClass, CellProfile, PortableProfile
 
 __all__ = ["ProfileServer"]
@@ -44,7 +44,7 @@ class ProfileServer:
             profile = CellProfile(
                 cell_id=cell_id,
                 cell_class=cell_class,
-                history=HandoffHistory(window=self.cell_window),
+                history=CountedHandoffHistory(window=self.cell_window),
             )
             self.cells[cell_id] = profile
         elif cell_class is not CellClass.UNKNOWN:

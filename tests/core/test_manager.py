@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import CellularResourceManager, audio_request, video_request
+from repro.core.maxmin import MaxMinProblem, maxmin_allocation
 from repro.core.qos import QoSRequest
 from repro.des import Environment
 from repro.profiles import CellClass
@@ -211,3 +212,66 @@ def test_renegotiate_rejects_best_effort_target():
         manager.renegotiate(
             conn, QoSRequest(flowspec=FlowSpec(sigma=1.0, rho=5.0), bounds=None)
         )
+
+
+def test_zero_demand_rebalance_matches_the_maxmin_reference():
+    """Where no connection wants excess, ``rebalance`` skips the max-min
+    solver; its shares (order included), ledger writes and rates must still
+    equal the solver's, and each owner must still get the static test,
+    whose ``on_static`` callback fires on that path too."""
+    env = Environment()
+    names = ("empty", "mobile", "fixed", "adaptive")
+    cells = {
+        name: Cell(name, capacity=400.0, cell_class=CellClass.OFFICE)
+        for name in names
+    }
+    manager = CellularResourceManager(env, cells, static_threshold=100.0)
+
+    def connect(pid, cell_id, *requests):
+        portable = Portable(pid)
+        manager.attach_portable(portable, cell_id)
+        for request in requests:
+            assert manager.request_connection(portable, request) is not None
+
+    fixed = (audio_request(b_min=16.0, b_max=16.0), audio_request(b_min=32.0, b_max=32.0))
+    connect("static-fixed", "fixed", *fixed)
+    connect("static-adaptive", "adaptive", audio_request(), video_request())
+    env.run(until=150.0)
+    connect("mobile", "mobile", audio_request(), video_request())
+    fired = []
+    manager.statmob.on_static = lambda pid, now: fired.append(pid)
+
+    fired_after = {}
+    wanted_excess = {}
+    for cell_id in names:
+        link = cells[cell_id].link
+        conns = [manager.connections[conn_id] for conn_id in link.allocations]
+        for conn in conns:  # stale values the rebalance must overwrite
+            link.set_excess(conn.conn_id, 5.0)
+            conn.rate = -1.0
+        shares = manager.rebalance(cell_id)
+        fired_after[cell_id] = list(fired)
+
+        problem = MaxMinProblem()
+        problem.add_link(cell_id, max(0.0, link.excess_available))
+        for conn in conns:
+            static = manager.statmob.is_static(conn.portable_id, env.now)
+            demand = conn.qos.bounds.span if static else 0.0
+            problem.add_connection(conn.conn_id, [cell_id], demand)
+        expected = maxmin_allocation(problem)
+        assert list(shares.items()) == list(expected.items())
+        for conn in conns:
+            share = expected[conn.conn_id]
+            assert link.allocations[conn.conn_id].excess == share
+            assert conn.rate == conn.qos.bounds.clamp(conn.b_min + share)
+        wanted_excess[cell_id] = sum(problem.demands.values()) > 0.0
+
+    assert wanted_excess == {
+        "empty": False, "mobile": False, "fixed": False, "adaptive": True,
+    }
+    assert fired_after == {
+        "empty": [],
+        "mobile": [],
+        "fixed": ["static-fixed"],
+        "adaptive": ["static-fixed", "static-adaptive"],
+    }

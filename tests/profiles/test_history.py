@@ -5,7 +5,14 @@ from collections import Counter, deque
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.profiles import HandoffHistory, HandoffRecord
+from repro.profiles import (
+    CellProfile,
+    CountedHandoffHistory,
+    HandoffHistory,
+    HandoffRecord,
+    PortableProfile,
+    ProfileServer,
+)
 
 
 def test_record_accessors():
@@ -92,7 +99,7 @@ def test_probabilities_sum_to_one(records):
             assert sum(probs.values()) == pytest.approx(1.0)
 
 
-# -- lazy window == eager window -----------------------------------------------
+# -- both history kinds == eager window ---------------------------------------
 
 
 class _EagerHistory:
@@ -153,19 +160,7 @@ def _windows_and_records(draw):
     return window, records
 
 
-@given(_windows_and_records())
-@example((1, []))
-@example((50, []))
-def test_lazy_window_answers_like_an_eager_deque(case):
-    """The deque is allocated on the first record; before and after, every
-    query must equal the eager reference's, item order included."""
-    window, records = case
-    history = HandoffHistory(window=window)
-    reference = _EagerHistory(window)
-    for prev, cur, nxt in records:
-        history.record(prev, cur, nxt)
-        reference.record(prev, cur, nxt)
-
+def _assert_answers_like(history, reference):
     assert len(history) == len(reference.records)
     assert list(history) == list(reference.records)
     for current in _CELLS:
@@ -182,3 +177,49 @@ def test_lazy_window_answers_like_an_eager_deque(case):
     assert list(history.conditioned_triplets().items()) == list(
         reference.conditioned_triplets().items()
     )
+
+
+@given(_windows_and_records())
+@example((1, []))
+@example((50, []))
+# The last record evicts the oldest a->b, so b's first occurrence in the
+# window moves behind c's.
+@example((5, [("c", "a", "b"), (None, "a", "c"), ("c", "a", "b")] + [("b", "a", "a")] * 3))
+def test_lazy_window_answers_like_an_eager_deque(case):
+    """Both kinds of history, a portable profile's (window scan) and a cell
+    profile's (counts kept per context), must answer every query like the
+    eager reference, item order included: before the first record, while
+    the window fills, and while it evicts."""
+    window, records = case
+    histories = [
+        ProfileServer(portable_window=window).register_portable("p").history,
+        ProfileServer(cell_window=window).register_cell("a").history,
+    ]
+    reference = _EagerHistory(window)
+    for history in histories:
+        _assert_answers_like(history, reference)
+    for prev, cur, nxt in records:
+        reference.record(prev, cur, nxt)
+        for history in histories:
+            history.record(prev, cur, nxt)
+            _assert_answers_like(history, reference)
+
+
+def test_cell_profiles_count_and_portable_profiles_scan():
+    """The owning profile decides the kind; ``transition_counts`` itself is
+    defined once, on the base class, so every query passes through it."""
+    server = ProfileServer(portable_window=7, cell_window=150)
+    cell_history = server.register_cell("a", neighbors=["b"]).history
+    assert type(cell_history) is CountedHandoffHistory
+    assert cell_history.window == 150
+    assert type(server.cell_profile("b").history) is CountedHandoffHistory
+    assert type(CellProfile(cell_id="c").history) is CountedHandoffHistory
+    assert CellProfile(cell_id="c").history.window == 500
+
+    portable_history = server.register_portable("p").history
+    assert type(portable_history) is HandoffHistory
+    assert portable_history.window == 7
+    assert type(PortableProfile(portable_id="q").history) is HandoffHistory
+
+    assert "transition_counts" not in vars(CountedHandoffHistory)
+    assert HandoffHistory.__slots__ == ("window", "_records")
