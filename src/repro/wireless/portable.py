@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Tuple, Union
 
 from ..traffic.connection import Connection, ConnectionState
 
@@ -14,6 +14,11 @@ class Portable:
 
     Following the paper's footnote, "portable" stands for the user of the
     portable: mobility and connection ownership live here.
+
+    ``connections`` is the shared empty tuple until the first :meth:`attach`
+    allocates the list.  Most portables never connect, and until then the
+    tuple answers truth, membership and iteration exactly as an empty list
+    would.
     """
 
     __slots__ = (
@@ -33,7 +38,7 @@ class Portable:
         self.current_cell: Optional[Hashable] = None
         self.previous_cell: Optional[Hashable] = None
         self.entered_at: float = 0.0
-        self.connections: List[Connection] = []
+        self.connections: Union[List[Connection], Tuple[()]] = ()
         self.handoff_count = 0
 
     # -- mobility ---------------------------------------------------------------
@@ -55,10 +60,16 @@ class Portable:
 
     def attach(self, conn: Connection) -> None:
         conn.portable_id = self.portable_id
-        self.connections.append(conn)
+        connections = self.connections
+        if isinstance(connections, tuple):
+            connections = self.connections = []
+        connections.append(conn)
 
     def detach(self, conn: Connection) -> None:
-        self.connections.remove(conn)
+        connections = self.connections
+        if isinstance(connections, tuple):
+            raise ValueError(f"{conn!r} is not attached to {self!r}")
+        connections.remove(conn)
 
     @property
     def active_connections(self) -> List[Connection]:

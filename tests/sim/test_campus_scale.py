@@ -14,6 +14,8 @@ import dataclasses
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.core import audio_request
 from repro.mobility import campus_plan
 from repro.sim import (
@@ -65,8 +67,6 @@ def test_campus_plan_is_connected():
 
 
 def test_campus_plan_rejects_degenerate_shapes():
-    import pytest
-
     for kwargs in [
         {"buildings": 0},
         {"floors": 0},
@@ -310,23 +310,75 @@ def test_campus_scale_result_pinned_exactly():
 def test_idle_portables_retain_little_memory():
     """An attached portable that never connects or moves keeps only its own
     records alive: no handoff window, no residence object, no second table
-    entry.  Measured on CPython 3.11 with this workload: 1,428 B per portable
-    with an eager ``deque(maxlen=50)`` per profile, a ``_Residence`` per
-    portable and a simulator-side copy of the portable table; 506 B without
-    them."""
+    entry, no connection list.  Measured on CPython 3.11 with this workload:
+    1,428 B per portable with an eager ``deque(maxlen=50)`` per profile, a
+    ``_Residence`` per portable and a simulator-side copy of the portable
+    table; 506 B without them; 450 B once ``connections`` is the shared
+    empty tuple rather than an empty list per portable.
+
+    The loop attaches with the cyclic collector off, as
+    ``run_campus_scale`` does, and must leave nothing for it to find: that
+    attaching makes no reference cycles is what makes the pause safe."""
     count = 20_000
     plan = campus_plan(buildings=2, floors=2, corridor_cells=3, offices_per_floor=4)
     sim = FloorplanSimulator(plan)
     placements = [(f"u{i}", plan.cells[i % len(plan.cells)]) for i in range(count)]
     gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for pid, cell_id in placements:
             sim.add_portable(pid, cell_id)
-        gc.collect()
+        unreachable = gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
     assert len(sim.portables) == count
+    assert unreachable == 0
     assert retained / count < 800, f"{retained / count:.0f} B per idle portable"
+
+
+def test_campus_scale_restores_the_collector_state(monkeypatch):
+    """``run_campus_scale`` pauses the cyclic collector while its population
+    attaches.  The caller's setting must hold after the run, whether the
+    collector was on or off, and after an attach that raises."""
+    config = CampusScaleConfig(
+        portables=2_000, active_fraction=0.01, buildings=4, floors=3,
+    )
+    was_enabled = gc.isenabled()
+    try:
+        results = []
+        for enabled in (True, False):
+            _set_collector(enabled)
+            results.append(dataclasses.astuple(run_campus_scale(config)))
+            assert gc.isenabled() is enabled
+        assert results[0] == results[1]
+
+        gc.enable()
+        attach = FloorplanSimulator.add_portable
+        seen = []
+
+        def add_portable(self, portable_id, cell_id, home_office=None):
+            seen.append(gc.isenabled())
+            if len(seen) == 1_000:
+                raise RuntimeError("attach failed")
+            return attach(self, portable_id, cell_id, home_office)
+
+        monkeypatch.setattr(FloorplanSimulator, "add_portable", add_portable)
+        with pytest.raises(RuntimeError, match="attach failed"):
+            run_campus_scale(config)
+        assert gc.isenabled()
+        assert seen == [False] * 1_000
+    finally:
+        _set_collector(was_enabled)
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

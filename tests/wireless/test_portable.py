@@ -28,12 +28,24 @@ def test_residence_time():
 
 def test_attach_sets_ownership():
     p = Portable("u")
+    idle = Portable("v")
     conn = Connection(src="a", dst="b", qos=audio_request())
     p.attach(conn)
     assert conn.portable_id == "u"
     assert conn in p.connections
+    # Idle portables share one empty tuple; attaching must never write to it.
+    assert not idle.connections
     p.detach(conn)
     assert conn not in p.connections
+    assert not idle.connections
+
+    stranger = Connection(src="a", dst="b", qos=audio_request())
+    with pytest.raises(ValueError):
+        idle.detach(stranger)
+    p.attach(conn)
+    with pytest.raises(ValueError):
+        p.detach(stranger)
+    assert p.connections == [conn]
 
 
 def test_active_connections_filter():
