@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,16 +59,59 @@ def handoff_in_probability(mu: float, window: float, handoff_prob: float) -> flo
     return (1.0 - stay_probability(mu, window)) * handoff_prob
 
 
-#: Bound on each memo table below.  The full Figure 6 sweep (four windows)
-#: touches 368 ``(n, p)`` pairs and five bandwidth tuples; each entry holds
-#: at most a few hundred floats.
+#: Bound on each memo table below but the ``P_nb`` one.  The full Figure 6
+#: sweep (four windows) touches 368 ``(n, p)`` pairs and five bandwidth
+#: tuples; each entry holds at most a few hundred floats.
 _MEMO_SIZE = 1024
+
+#: Bound on the shared ``P_nb`` memo.  A ``fig6`` benchmark pass looks up
+#: 10,633 distinct (parameters, occupancy) keys; the full Figure 6 sweep's
+#: 34,664 pass through it one parameter set at a time, so none re-misses.
+_NONBLOCKING_MEMO_SIZE = 1 << 14
+
+#: Cephes ``LS2PI``, ``log(sqrt(2 pi))``.
+_LOG_SQRT_2PI = 0.91893853320467274178
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """Mark a memoized array read-only, so no caller can corrupt the memo."""
     array.flags.writeable = False
     return array
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _log_gamma(m: int) -> float:
+    """``log Gamma(m)`` for a positive integer ``m``, equal to
+    ``scipy.special.gammaln(m)`` bit for bit.
+
+    It runs Cephes ``lgam``'s float operations in Cephes' order, with
+    ``math.log`` calling the same C-library ``log``.  ``math.lgamma`` and
+    ``np.log`` both round differently on some integers, and one flipped
+    bit can flip an admission that sits on the ``1 - P_QOS`` threshold.
+    """
+    if m < 13:
+        # (m - 1)! < 2**53, so Cephes' float product is exact.
+        return math.log(float(math.factorial(m - 1)))
+    x = float(m)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    # Cephes' Stirling corrections in p = 1/x**2, Horner order.
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        correction = (
+            7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3
+        ) * p + 0.0833333333333333333333
+    else:
+        correction = (
+            (
+                (8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+                + 7.93650340457716943945e-4
+            )
+            * p
+            - 2.77777777730099687205e-3
+        ) * p + 8.33333333333331927722e-2
+    return q + correction / x
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -88,13 +131,13 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
         pmf = np.zeros(n + 1)
         pmf[n] = 1.0
         return _frozen(pmf)
-    from scipy.special import gammaln
-
+    # log_factorial[j] = log(j!), so reversed it is log((n - k)!).
+    log_factorial = np.array([_log_gamma(m) for m in range(1, n + 2)])
     k = np.arange(n + 1)
     log_pmf = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
+        log_factorial[n]
+        - log_factorial
+        - log_factorial[::-1]
         + k * math.log(p)
         + (n - k) * math.log(1.0 - p)
     )
@@ -130,14 +173,15 @@ def weighted_binomial_sum_pmf(
     Returns ``(pmf, unit)`` where ``pmf[k]`` is the probability of total
     load ``k * unit``; ``pmf`` is a fresh array the caller may modify.
     """
+    for _, n, _ in groups:
+        if n < 0:
+            raise ValueError(f"count must be non-negative, got {n}")
     active = [(b, n, p) for b, n, p in groups if n > 0]
     if not active:
         return np.array([1.0]), 1.0
     weights, unit = _scale_to_integers(tuple(b for b, _, _ in active))
     pmf = np.array([1.0])
     for (bw, (_, n, p)) in zip(weights, active):
-        if n < 0:
-            raise ValueError(f"count must be non-negative, got {n}")
         pmf = np.convolve(pmf, _placed_binomial_pmf(n, p, bw))
     return pmf, unit
 
@@ -167,6 +211,43 @@ class _TypeParams:
     bandwidth: float
     mu: float
     handoff_prob: float
+
+
+_Survival = Tuple[Tuple[float, float, float], ...]
+
+
+def _survival_groups(
+    survival: _Survival,
+    local_counts: Sequence[int],
+    neighbor_counts: Sequence[int],
+) -> List[Tuple[float, int, float]]:
+    """The (bandwidth, count, probability) groups of eqns. (3)-(4)."""
+    if len(local_counts) != len(survival) or len(neighbor_counts) != len(
+        survival
+    ):
+        raise ValueError("counts must have one entry per type")
+    groups: List[Tuple[float, int, float]] = []
+    for (bandwidth, p_s, p_m), n, s in zip(survival, local_counts, neighbor_counts):
+        groups.append((bandwidth, int(n), p_s))
+        groups.append((bandwidth, int(s), p_m))
+    return groups
+
+
+@functools.lru_cache(maxsize=_NONBLOCKING_MEMO_SIZE, typed=True)
+def _nonblocking(
+    capacity: float,
+    survival: _Survival,
+    local_counts: Tuple[int, ...],
+    neighbor_counts: Tuple[int, ...],
+) -> float:
+    """``P_nb`` memo shared by every controller with equal parameters.
+
+    ``P_nb`` does not depend on ``P_QOS``, so the controllers of one
+    window that differ only in ``P_QOS`` share entries.
+    """
+    return nonblocking_probability(
+        capacity, _survival_groups(survival, local_counts, neighbor_counts)
+    )
 
 
 class ProbabilisticAdmission:
@@ -209,7 +290,7 @@ class ProbabilisticAdmission:
         # Per-type (b_min, p_s, p_m): fixed for the controller's lifetime,
         # and computing them here rejects a bad mu or handoff probability
         # at construction rather than at the first admission.
-        self._survival = tuple(
+        self._survival: _Survival = tuple(
             (
                 params.bandwidth,
                 stay_probability(params.mu, window),
@@ -217,34 +298,23 @@ class ProbabilisticAdmission:
             )
             for params in self.types
         )
-        self._cache: Dict[tuple, float] = {}
 
     def survival_groups(
         self, local_counts: Sequence[int], neighbor_counts: Sequence[int]
     ) -> List[Tuple[float, int, float]]:
         """Build the (bandwidth, count, probability) groups of eqns. (3)-(4)."""
-        if len(local_counts) != len(self.types) or len(neighbor_counts) != len(
-            self.types
-        ):
-            raise ValueError("counts must have one entry per type")
-        groups: List[Tuple[float, int, float]] = []
-        for (bandwidth, p_s, p_m), n, s in zip(
-            self._survival, local_counts, neighbor_counts
-        ):
-            groups.append((bandwidth, int(n), p_s))
-            groups.append((bandwidth, int(s), p_m))
-        return groups
+        return _survival_groups(self._survival, local_counts, neighbor_counts)
 
     def nonblocking(
         self, local_counts: Sequence[int], neighbor_counts: Sequence[int]
     ) -> float:
         """``P_nb`` for the given occupancy (memoized)."""
-        key = (tuple(local_counts), tuple(neighbor_counts))
-        if key not in self._cache:
-            self._cache[key] = nonblocking_probability(
-                self.capacity, self.survival_groups(local_counts, neighbor_counts)
-            )
-        return self._cache[key]
+        return _nonblocking(
+            self.capacity,
+            self._survival,
+            tuple(local_counts),
+            tuple(neighbor_counts),
+        )
 
     def admit_new(
         self,

@@ -76,6 +76,16 @@ def test_pmf_empty_groups():
     assert list(pmf) == [1.0]
 
 
+@pytest.mark.parametrize(
+    "groups", [[(1.0, -3, 0.5)], [(1.0, 2, 0.5), (4.0, -1, 0.3)]]
+)
+def test_negative_count_rejected(groups):
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        weighted_binomial_sum_pmf(groups)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        nonblocking_probability(5.0, groups)
+
+
 def test_nonblocking_probability_extremes():
     groups = [(1.0, 10, 0.5)]
     assert nonblocking_probability(10.0, groups) == pytest.approx(1.0)
@@ -119,9 +129,11 @@ def test_property_pmf_is_distribution(groups):
 
 # -- reference: the uncached P_nb arithmetic ---------------------------------
 #
-# A verbatim copy of the implementation without memoization.  The memoized
-# path must reproduce it bit for bit, because admission compares P_nb
-# against 1 - P_QOS and one flipped decision changes every later event.
+# A copy of the implementation without memoization, with scipy's gammaln
+# in place of the log-gamma port, so the tests that call it need scipy.
+# The memoized path must reproduce it bit for bit, because admission
+# compares P_nb against 1 - P_QOS and one flipped decision changes every
+# later event.
 
 
 def reference_binomial_pmf(n, p):
@@ -159,14 +171,15 @@ def reference_scale_to_integers(bandwidths):
 
 
 def reference_weighted_binomial_sum_pmf(groups):
+    for _, n, _ in groups:
+        if n < 0:
+            raise ValueError(f"count must be non-negative, got {n}")
     active = [(b, n, p) for b, n, p in groups if n > 0]
     if not active:
         return np.array([1.0]), 1.0
     weights, unit = reference_scale_to_integers([b for b, _, _ in active])
     pmf = np.array([1.0])
     for (bw, (_, n, p)) in zip(weights, active):
-        if n < 0:
-            raise ValueError(f"count must be non-negative, got {n}")
         base = reference_binomial_pmf(n, p)
         expanded = np.zeros(n * bw + 1)
         expanded[:: bw] = base
@@ -181,9 +194,21 @@ def reference_nonblocking_probability(capacity, groups):
 
 
 def clear_memos():
+    probabilistic._log_gamma.cache_clear()
     probabilistic._binomial_pmf.cache_clear()
     probabilistic._placed_binomial_pmf.cache_clear()
     probabilistic._scale_to_integers.cache_clear()
+
+
+def test_log_gamma_port_equals_scipy_gammaln():
+    """The pmf's log-factorials match the scipy oracle bit for bit, on
+    1..100,000 and on both sides of Cephes' branches at 13, 1000 and 1e8."""
+    special = pytest.importorskip("scipy.special")
+    m = np.arange(1, 100_001)
+    ported = np.array([probabilistic._log_gamma(int(v)) for v in m])
+    assert np.array_equal(ported, special.gammaln(m))
+    for v in (12, 13, 999, 1000, 10**8, 10**8 + 1):
+        assert probabilistic._log_gamma(v) == special.gammaln(v)
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,6 +224,7 @@ def clear_memos():
     st.floats(min_value=0.0, max_value=100.0),
 )
 def test_property_memoized_pmf_bit_identical_to_uncached(groups, capacity):
+    pytest.importorskip("scipy.special")
     expected_pmf, expected_unit = reference_weighted_binomial_sum_pmf(groups)
     expected_pnb = reference_nonblocking_probability(capacity, groups)
     clear_memos()
@@ -329,8 +355,25 @@ class TestProbabilisticAdmission:
         assert admission.reservation_for([20, 3]) == pytest.approx(8.0)
 
     def test_nonblocking_memoized(self):
-        admission = self.make()
-        first = admission.nonblocking([5, 1], [3, 0])
-        second = admission.nonblocking([5, 1], [3, 0])
-        assert first == second
-        assert len(admission._cache) == 1
+        """One P_nb memo serves every controller with equal parameters."""
+        memo = probabilistic._nonblocking
+        memo.cache_clear()
+        occupancy = ([5, 1], [3, 0])
+        strict, loose = self.make(p_qos=0.001), self.make(p_qos=0.1)
+        admissions = [strict, loose]
+        values = [admission.nonblocking(*occupancy) for admission in admissions]
+        assert values[0] == values[1]
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+        # A different window or capacity is a different parameter set.
+        admissions += [
+            self.make(window=0.2),
+            ProbabilisticAdmission(36.0, 0.05, 0.01, FIG6_TYPES),
+        ]
+        values += [admission.nonblocking(*occupancy) for admission in admissions[2:]]
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (3, 1)
+        pytest.importorskip("scipy.special")
+        for admission, value in zip(admissions, values):
+            groups = admission.survival_groups(*occupancy)
+            assert value == reference_nonblocking_probability(
+                admission.capacity, groups
+            )

@@ -1,6 +1,10 @@
 """Tests for the two-cell teletraffic simulator (Figure 6 substrate)."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -113,3 +117,32 @@ def test_counters_pinned_exactly(policy, overrides, counters):
     names = ("new_requests", "admitted", "blocked", "handoff_attempts",
              "handoff_drops", "completed")
     assert dataclasses.asdict(stats) == {**dict(zip(names, counters)), "extra": {}}
+
+
+_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+
+#: Runs a probabilistic replication that misses the pmf memos, then fails
+#: if any scipy module was imported along the way.
+_NO_SCIPY_SNIPPET = """
+import sys
+from repro.core import probabilistic
+from repro.sim import figure6_config, simulate_twocell_stats
+simulate_twocell_stats(
+    figure6_config(window=0.02, p_qos=0.01, seed=1, horizon=5.0, warmup=1.0)
+)
+assert probabilistic._binomial_pmf.cache_info().misses > 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_figure6_path_imports_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SNIPPET],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
