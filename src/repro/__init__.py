@@ -13,15 +13,15 @@ Subpackages
 ``repro.mobility``
     Floorplans, per-cell-class mobility models, calibrated traces.
 ``repro.profiles``
-    Table 1's cell/portable profiles, zone profile servers, caches.
+    Table 1's cell/portable profiles, the profile server, caches.
 ``repro.traffic``
-    (sigma, rho) flowspecs, connections, Poisson workloads, sources.
+    (sigma, rho) flowspecs, connections, Figure 6 workload types, sources.
 ``repro.core``
     The paper's contribution: loose QoS bounds, Table 2 admission, max-min
     conflict resolution, the distributed adaptation protocol, static/mobile
     classification, next-cell prediction, per-class advance reservation.
 ``repro.stats``
-    Blocking/dropping counters, binned series, interval estimators.
+    Blocking/dropping counters, binned series, Erlang-B/Kaufman–Roberts.
 ``repro.sim``
     Packaged simulators (two-cell teletraffic, full floorplan) + scenarios.
 ``repro.experiments``

@@ -4,8 +4,8 @@ Subpackage map (paper section in parentheses):
 
 * :mod:`~repro.core.qos` — loose QoS bounds (2.1, 5.1)
 * :mod:`~repro.core.admission` — Table 2 round-trip admission control (5.1)
-* :mod:`~repro.core.maxmin` / :mod:`~repro.core.conflict` — max-min conflict
-  resolution (5.2)
+* :mod:`~repro.core.maxmin` — max-min conflict resolution (5.2); the live
+  resolver is :meth:`~repro.core.manager.CellularResourceManager.rebalance`
 * :mod:`~repro.core.adaptation` — distributed event-driven bandwidth
   adaptation (5.3)
 * :mod:`~repro.core.statmob` — static/mobile classification (3.4.2)
@@ -27,7 +27,6 @@ from .classifier import (
     CellTypeLearner,
     extract_features,
 )
-from .conflict import ConflictResolver
 from .lounge import CafeteriaReservation, DefaultLoungeReservation, SlotCounter
 from .manager import CellularResourceManager
 from .maxmin import (
@@ -39,7 +38,6 @@ from .maxmin import (
 )
 from .meeting import MeetingRoomReservation
 from .prediction import (
-    NextCellPredictor,
     Prediction,
     PredictionLevel,
     ProfileAwarePredictor,
@@ -73,7 +71,6 @@ __all__ = [
     "CellFeatures",
     "CellTypeLearner",
     "extract_features",
-    "ConflictResolver",
     "CafeteriaReservation",
     "DefaultLoungeReservation",
     "SlotCounter",
@@ -84,7 +81,6 @@ __all__ = [
     "maxmin_allocation",
     "network_bottleneck_links",
     "MeetingRoomReservation",
-    "NextCellPredictor",
     "Prediction",
     "PredictionLevel",
     "ProfileAwarePredictor",

@@ -10,11 +10,13 @@ distributed according to the cell's aggregate handoff profile.
 * **Default** — random time-varying activity; prediction is one-step memory
   (``N(t+1) = N(t)``).
 
-Each also tracks *incoming* handoffs when at least one neighbor is a
-``default`` cell: a default neighbor's own predictions are not to be
-trusted, so the cell independently predicts its arrivals and reserves for
-them locally — the cafeteria with its linear model, the default cell with
-the probabilistic algorithm of Section 6.3 (eqn. 7).
+The cafeteria also reserves for its *incoming* handoffs when at least one
+neighbor is a ``default`` cell: a default neighbor's own predictions are
+not to be trusted, so the cafeteria predicts its arrivals with its linear
+model and reserves for them locally.  The paper's default cell would do
+the same with the probabilistic algorithm of Section 6.3 (eqn. 7), but no
+floorplan puts a default cell next to another, so eqn. 7 lives only in
+:mod:`~repro.core.probabilistic`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Callable, Deque, Dict, Hashable, Optional, Sequence
 
 from ..des import Environment
 from .prediction import linear_ls_predict, one_step_memory_predict
-from .probabilistic import ProbabilisticAdmission
 from .reservation import CellReservations
 
 __all__ = ["SlotCounter", "CafeteriaReservation", "DefaultLoungeReservation"]
@@ -65,7 +66,10 @@ class SlotCounter:
 
 
 class _SlottedLounge:
-    """Shared machinery: slot clock, counters, neighbor distribution."""
+    """Shared machinery: slot clock, counters, neighbor distribution.
+
+    Subclasses define ``_predict(counter)``: the next slot's count.
+    """
 
     kind = "lounge"
 
@@ -78,7 +82,6 @@ class _SlottedLounge:
         handoff_distribution: Callable[[], Dict[Hashable, float]],
         per_user_bandwidth: float = 16.0,
         slot_duration: float = 60.0,
-        default_neighbors: Sequence[Hashable] = (),
     ):
         if slot_duration <= 0:
             raise ValueError(f"slot_duration must be positive, got {slot_duration}")
@@ -89,14 +92,12 @@ class _SlottedLounge:
         self.handoff_distribution = handoff_distribution
         self.per_user_bandwidth = per_user_bandwidth
         self.slot_duration = slot_duration
-        self.default_neighbors = set(default_neighbors)
 
         self.tag = (self.kind, cell_id)
         self.outgoing = SlotCounter()
         self.incoming = SlotCounter()
         #: Predicted outgoing handoffs for the upcoming slot (observability).
         self.predicted_out: float = 0.0
-        self.predicted_in: float = 0.0
 
     # -- event feeds (wired to the handoff layer) ------------------------------------
 
@@ -119,8 +120,6 @@ class _SlottedLounge:
     def _reserve_for_next_slot(self) -> None:
         self.predicted_out = self._predict(self.outgoing)
         self._spread_to_neighbors(self.predicted_out)
-        if self.default_neighbors:
-            self._reserve_local()
 
     def _spread_to_neighbors(self, predicted: float) -> None:
         share = self.handoff_distribution() or {}
@@ -133,19 +132,22 @@ class _SlottedLounge:
                 self.tag, predicted * fraction * self.per_user_bandwidth
             )
 
-    # -- subclass hooks ------------------------------------------------------------------
-
-    def _predict(self, counter: SlotCounter) -> float:
-        raise NotImplementedError
-
-    def _reserve_local(self) -> None:
-        raise NotImplementedError
-
 
 class CafeteriaReservation(_SlottedLounge):
-    """Section 6.2.2: linear least-squares prediction over 3 slots."""
+    """Section 6.2.2: linear least-squares prediction over 3 slots.
+
+    ``default_neighbors`` names the neighbors whose own predictions are not
+    to be trusted; with any, each slot also reserves locally for the
+    predicted incoming handoffs.
+    """
 
     kind = "cafeteria"
+
+    def __init__(self, *args, default_neighbors: Sequence[Hashable] = (), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.default_neighbors = set(default_neighbors)
+        #: Predicted incoming handoffs for the upcoming slot (observability).
+        self.predicted_in: float = 0.0
 
     def _predict(self, counter: SlotCounter) -> float:
         window = counter.last(3)
@@ -155,48 +157,21 @@ class CafeteriaReservation(_SlottedLounge):
             return float(history[-1]) if history else 0.0
         return linear_ls_predict(window)
 
-    def _reserve_local(self) -> None:
-        """Predict arrivals independently of untrusted default neighbors."""
-        self.predicted_in = self._predict(self.incoming)
-        self.reservations.reserve_aggregate(
-            ("cafeteria-in", self.cell_id),
-            self.predicted_in * self.per_user_bandwidth,
-        )
+    def _reserve_for_next_slot(self) -> None:
+        super()._reserve_for_next_slot()
+        if self.default_neighbors:
+            self.predicted_in = self._predict(self.incoming)
+            self.reservations.reserve_aggregate(
+                ("cafeteria-in", self.cell_id),
+                self.predicted_in * self.per_user_bandwidth,
+            )
 
 
 class DefaultLoungeReservation(_SlottedLounge):
-    """Section 6.2.3: one-step memory, plus eqn. (7) with default neighbors.
-
-    ``admission`` and ``occupancy`` are needed only when a default neighbor
-    exists: the probabilistic algorithm sizes the local reservation from the
-    current per-type occupancies of this cell and its neighbor.
-    """
+    """Section 6.2.3: one-step memory prediction."""
 
     kind = "default"
-
-    def __init__(
-        self,
-        *args,
-        admission: Optional[ProbabilisticAdmission] = None,
-        occupancy: Optional[Callable[[], tuple]] = None,
-        **kwargs,
-    ):
-        super().__init__(*args, **kwargs)
-        self.admission = admission
-        self.occupancy = occupancy
 
     def _predict(self, counter: SlotCounter) -> float:
         history = counter.history
         return one_step_memory_predict(history[-1]) if history else 0.0
-
-    def _reserve_local(self) -> None:
-        if self.admission is None or self.occupancy is None:
-            return
-        local_counts, neighbor_counts = self.occupancy()
-        max_counts = self.admission.max_admissible_counts(
-            local_counts, neighbor_counts
-        )
-        amount = self.admission.reservation_for(max_counts)
-        # eqn. (7): the bandwidth to keep free for surviving + handing-off
-        # connections; booked locally under the default tag.
-        self.reservations.reserve_aggregate(("default-in", self.cell_id), amount)

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Optional, Sequence
 
-from ..profiles.records import CellClass, CellProfile, PortableProfile
+from ..profiles.records import CellClass
 
 __all__ = [
     "PredictionLevel",
     "Prediction",
-    "NextCellPredictor",
     "ProfileAwarePredictor",
     "linear_ls_fit",
     "linear_ls_predict",
@@ -56,37 +55,8 @@ class Prediction:
     level: PredictionLevel
 
 
-class NextCellPredictor:
-    """The three-level predictor over portable and cell profiles."""
-
-    def predict(
-        self,
-        portable_profile: Optional[PortableProfile],
-        cell_profile: Optional[CellProfile],
-        portable_id: Hashable,
-        previous_cell: Optional[Hashable],
-        current_cell: Hashable,
-    ) -> Prediction:
-        """Run the level cascade for one mobile portable."""
-        # Level 1: the portable's own (prev, cur) -> next triplet.
-        if portable_profile is not None:
-            nxt = portable_profile.next_predicted(previous_cell, current_cell)
-            if nxt is not None:
-                return Prediction(nxt, PredictionLevel.PORTABLE_PROFILE)
-
-        # Level 2: cell profile aggregate history.  (The occupant rule needs
-        # neighbor profiles; :class:`ProfileAwarePredictor` implements it.)
-        if cell_profile is not None:
-            nxt = cell_profile.predict_next(previous_cell)
-            if nxt is not None:
-                return Prediction(nxt, PredictionLevel.CELL_PROFILE)
-
-        # Level 3: give up on a specific cell.
-        return Prediction(None, PredictionLevel.DEFAULT)
-
-
-class ProfileAwarePredictor(NextCellPredictor):
-    """Predictor wired to a profile server (resolves occupant lookups)."""
+class ProfileAwarePredictor:
+    """The three-level next-cell predictor over a profile server's profiles."""
 
     def __init__(self, server):
         self.server = server

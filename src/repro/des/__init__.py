@@ -2,8 +2,7 @@
 
 The paper's evaluation relies on a custom event-driven simulator; this
 subpackage provides that substrate: an :class:`Environment` with a clock and
-event heap, generator-based processes, composable events, and shared-resource
-primitives.
+event heap, generator-based processes, and composable events.
 
 Example
 -------
@@ -35,11 +34,7 @@ from .engine import (
 )
 from .errors import EmptySchedule, Interrupt, SimulationError, StopProcess
 from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .monitor import TimeSeriesProbe, periodic_sampler
-from .priority import Preempted, PreemptiveResource, PriorityRequest, PriorityResource
 from .process import Process
-from .resources import Container, Release, Request, Resource
-from .store import FilterStore, Store
 
 __all__ = [
     "Environment",
@@ -62,17 +57,5 @@ __all__ = [
     "Condition",
     "Event",
     "Timeout",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityRequest",
-    "PriorityResource",
     "Process",
-    "Container",
-    "Release",
-    "Request",
-    "Resource",
-    "FilterStore",
-    "Store",
-    "TimeSeriesProbe",
-    "periodic_sampler",
 ]

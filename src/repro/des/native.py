@@ -37,7 +37,7 @@ class NativeEnvironment(Environment):
 
     ``timeout``, ``schedule``, and the run pump are compiled callables
     bound to this environment's queue and id counter; everything else —
-    event semantics, processes, resources, ``step()``, ``peek()`` — is the
+    event semantics, processes, ``step()``, ``peek()`` — is the
     inherited pure-Python machinery operating on the same data structures,
     so the two cores interoperate freely on one queue.
 

@@ -3,7 +3,6 @@
 from .base import MobilityModel, walk_path
 from .cafeteria import CafeteriaPatron, lunch_intensity, patron_spawner
 from .campus import campus_plan
-from .corridor import CorridorTransit
 from .floorplan import FloorPlan, campus_floorplan, figure4_floorplan
 from .meeting import MeetingAttendee
 from .office import OfficeWorker
@@ -22,7 +21,6 @@ __all__ = [
     "CafeteriaPatron",
     "lunch_intensity",
     "patron_spawner",
-    "CorridorTransit",
     "FloorPlan",
     "campus_floorplan",
     "campus_plan",

@@ -54,20 +54,6 @@ class FloorPlan:
     def cell_class(self, cell_id: Hashable) -> CellClass:
         return self.classes[cell_id]
 
-    def corridor_next(self, previous: Hashable, current: Hashable) -> Hashable:
-        """Linear-movement successor: keep going, don't double back.
-
-        For a corridor cell, the next cell is the neighbor that is not the
-        previous cell; with several candidates the (deterministic) first in
-        sorted order is chosen.
-        """
-        candidates = sorted(
-            (c for c in self.adjacency[current] if c != previous), key=repr
-        )
-        if not candidates:
-            return previous  # dead end: bounce back
-        return candidates[0]
-
     def validate(self) -> None:
         """Sanity checks: symmetric adjacency, occupants in offices only."""
         for cell, neighbors in self.adjacency.items():

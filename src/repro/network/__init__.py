@@ -15,7 +15,6 @@ from .routing import (
     hop_metric,
     qos_route,
     shortest_path,
-    widest_path,
 )
 from .scheduling import (
     Discipline,
@@ -42,7 +41,6 @@ __all__ = [
     "hop_metric",
     "qos_route",
     "shortest_path",
-    "widest_path",
     "Discipline",
     "cumulative_jitter",
     "e2e_delay_lower_bound",

@@ -20,7 +20,6 @@ __all__ = [
     "delay_metric",
     "shortest_path",
     "qos_route",
-    "widest_path",
 ]
 
 
@@ -105,46 +104,3 @@ def qos_route(
     return shortest_path(
         topo, src, dst, hop_metric, usable=lambda link: link.excess_available >= b_min
     )
-
-
-def widest_path(topo: Topology, src: Hashable, dst: Hashable) -> List[Hashable]:
-    """Path maximizing the bottleneck of ``excess_available`` (max-min width).
-
-    Useful for routing adaptive connections that want room to grow toward
-    ``b_max``.
-    """
-    if not topo.has_node(src) or not topo.has_node(dst):
-        raise NoRouteError(f"unknown endpoint {src!r} or {dst!r}")
-
-    width: Dict[Hashable, float] = {src: float("inf")}
-    prev: Dict[Hashable, Hashable] = {}
-    visited = set()
-    heap = [(-float("inf"), 0, src)]
-    counter = 1
-
-    while heap:
-        negw, _, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == dst:
-            break
-        for nxt in topo.successors(node):
-            if nxt in visited:
-                continue
-            link = topo.link(node, nxt)
-            w = min(-negw, link.excess_available)
-            if w > width.get(nxt, -float("inf")):
-                width[nxt] = w
-                prev[nxt] = node
-                heapq.heappush(heap, (-w, counter, nxt))
-                counter += 1
-
-    if dst not in width:
-        raise NoRouteError(f"no route from {src!r} to {dst!r}")
-
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path

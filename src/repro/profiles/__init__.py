@@ -1,4 +1,4 @@
-"""Profiles substrate: Table 1 records, histories, zone servers, caches."""
+"""Profiles substrate: Table 1 records, histories, the profile server, caches."""
 
 from .cache import ProfileCache
 from .history import CountedHandoffHistory, HandoffHistory, HandoffRecord
@@ -10,7 +10,6 @@ from .records import (
     PortableProfile,
 )
 from .server import ProfileServer
-from .zones import ZoneDirectory
 
 __all__ = [
     "ProfileCache",
@@ -23,5 +22,4 @@ __all__ = [
     "Meeting",
     "PortableProfile",
     "ProfileServer",
-    "ZoneDirectory",
 ]

@@ -66,17 +66,6 @@ class ProfileServer:
             self._context[portable_id] = (None, None)
         return profile
 
-    def forget_portable(self, portable_id: Hashable) -> Optional[PortableProfile]:
-        """Hand a portable's profile off to another zone's server."""
-        self._context.pop(portable_id, None)
-        return self.portables.pop(portable_id, None)
-
-    def adopt_portable(self, profile: PortableProfile,
-                       context: Tuple[Optional[Hashable], Optional[Hashable]] = (None, None)) -> None:
-        """Receive a portable profile from a neighboring zone."""
-        self.portables[profile.portable_id] = profile
-        self._context[profile.portable_id] = context
-
     # -- handoff reporting ---------------------------------------------------------
 
     def report_handoff(

@@ -18,7 +18,7 @@ from ..mobility.office import OfficeWorker
 from ..mobility.randomwalk import RandomWalker
 from ..profiles.records import BookingCalendar, Meeting
 from ..stats.counters import TeletrafficStats
-from ..traffic.connection import reset_conn_ids
+from ..traffic.connection import Connection, ConnectionState, reset_conn_ids
 from ..wireless.portable import Portable
 from .simulator import FloorplanSimulator
 
@@ -42,6 +42,19 @@ class CampusDayResult:
     handoffs: int
     static_upgrades: int
     final_rates: Dict[Hashable, float]
+
+
+def _live_connections(manager) -> List[Connection]:
+    """The manager's ACTIVE connections, in its table's insertion order.
+
+    The table keeps dropped connections, and a drop leaves the last
+    ``rate`` in place, so totals over the whole table overcount.
+    """
+    return [
+        conn
+        for conn in manager.connections.values()
+        if conn.state is ConnectionState.ACTIVE
+    ]
 
 
 def run_campus_day(
@@ -172,14 +185,13 @@ def run_campus_day(
 
     env.run(until=day_length)
 
+    live = _live_connections(sim.manager)
     static_upgrades = sum(
         1
-        for conn in sim.manager.connections.values()
+        for conn in live
         if conn.qos.bounds is not None and conn.rate > conn.b_min + 1e-9
     )
-    final_rates = {
-        conn.conn_id: conn.rate for conn in sim.manager.connections.values()
-    }
+    final_rates = {conn.conn_id: conn.rate for conn in live}
     return CampusDayResult(
         stats=sim.stats,
         handoffs=sim.stats.handoff_attempts,
@@ -333,7 +345,7 @@ class CampusScaleResult:
     drops: int
     blocked: int
     admitted: int
-    #: Sum of final connection rates (manager insertion order).
+    #: Sum of final rates of the live connections (manager insertion order).
     total_rate: float
     #: Sum of final ``B_dyn`` pools (cell insertion order).
     pool_total: float
@@ -422,7 +434,7 @@ def run_campus_scale(config: CampusScaleConfig) -> CampusScaleResult:
     env.run(until=config.horizon)
 
     manager = sim.manager
-    total_rate = sum(conn.rate for conn in manager.connections.values())
+    total_rate = sum(conn.rate for conn in _live_connections(manager))
     pool_total = sum(sim.cells[c].reservations.pool for c in cells)
     reserved_total = sum(sim.cells[c].reservations.total for c in cells)
     return CampusScaleResult(

@@ -187,7 +187,6 @@ class FloorplanSimulator:
         slot_duration: float = 60.0,
         seed: int = 11,
         calendars: Optional[Dict[Hashable, BookingCalendar]] = None,
-        probabilistic: Optional[ProbabilisticAdmission] = None,
         incremental: bool = True,
     ):
         plan.validate()
@@ -276,12 +275,6 @@ class FloorplanSimulator:
                     handoff_distribution=dist,
                     per_user_bandwidth=per_user_bandwidth,
                     slot_duration=slot_duration,
-                    default_neighbors=[
-                        n
-                        for n in sorted(cell.neighbors, key=repr)
-                        if plan.cell_class(n) is CellClass.DEFAULT
-                    ],
-                    admission=probabilistic,
                 )
                 self.env.process(process.run())
                 self.lounge_processes[cell_id] = process

@@ -1,8 +1,7 @@
-"""Measurement substrate: counters, binned series, interval estimators."""
+"""Measurement substrate: counters, binned series, Erlang-B/Kaufman–Roberts."""
 
 from .counters import TeletrafficStats
 from .erlang import erlang_b, kaufman_roberts, multirate_blocking
-from .estimators import batch_means, mean_confidence_interval, wilson_interval
 from .timeseries import BinnedSeries
 
 __all__ = [
@@ -10,8 +9,5 @@ __all__ = [
     "erlang_b",
     "kaufman_roberts",
     "multirate_blocking",
-    "batch_means",
-    "mean_confidence_interval",
-    "wilson_interval",
     "BinnedSeries",
 ]

@@ -1,18 +1,15 @@
-"""Workload substrate: flow envelopes, connections, arrivals, sources."""
+"""Workload substrate: flow envelopes, connections, workload types, sources."""
 
-from .arrivals import PoissonArrivals, TypeSpec, sample_exponential
+from .arrivals import TypeSpec
 from .connection import Connection, ConnectionState
 from .flowspec import FlowSpec
-from .sources import AdaptiveVideoSource, cbr_packets, onoff_packets
+from .sources import AdaptiveVideoSource, cbr_packets
 
 __all__ = [
-    "PoissonArrivals",
     "TypeSpec",
-    "sample_exponential",
     "Connection",
     "ConnectionState",
     "FlowSpec",
     "AdaptiveVideoSource",
     "cbr_packets",
-    "onoff_packets",
 ]

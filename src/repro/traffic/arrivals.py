@@ -1,16 +1,17 @@
-"""Stochastic connection arrival / holding-time processes.
+"""Per-type workload parameters for the Figure 6 teletraffic model.
 
 The Figure 6 workload: Poisson connection-request arrivals per cell with
-exponentially distributed holding times, per connection type.
+exponentially distributed holding times, per connection type.  The
+two-cell simulator draws those arrivals itself; this module holds the
+parameters of each type.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
-__all__ = ["TypeSpec", "PoissonArrivals", "sample_exponential"]
+__all__ = ["TypeSpec"]
 
 
 @dataclass(frozen=True)
@@ -56,44 +57,3 @@ class TypeSpec:
     def offered_load(self) -> float:
         """Erlang load in bandwidth units: ``lambda / mu * bandwidth``."""
         return self.arrival_rate * self.holding_mean * self.bandwidth
-
-
-def sample_exponential(rng: random.Random, mean: float) -> float:
-    """Exponential sample with the given mean (rejects mean <= 0)."""
-    if mean <= 0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    return rng.expovariate(1.0 / mean)
-
-
-class PoissonArrivals:
-    """DES process emitting connection requests at Poisson epochs.
-
-    ``on_arrival(ctype_index, now)`` is invoked for each request; the caller
-    owns admission, holding, and handoff logic.  Each type gets an
-    independent Poisson stream (their superposition is Poisson with the sum
-    rate, matching the paper's per-type rates).
-    """
-
-    def __init__(
-        self,
-        env,
-        types: Sequence[TypeSpec],
-        on_arrival: Callable[[int, float], None],
-        rng: random.Random,
-    ):
-        self.env = env
-        self.types = list(types)
-        self.on_arrival = on_arrival
-        self.rng = rng
-        self._procs = [
-            env.process(self._stream(i, spec))
-            for i, spec in enumerate(self.types)
-            if spec.arrival_rate > 0
-        ]
-
-    def _stream(self, index: int, spec: TypeSpec):
-        while True:
-            yield self.env.timeout(
-                sample_exponential(self.rng, 1.0 / spec.arrival_rate)
-            )
-            self.on_arrival(index, self.env.now)

@@ -1,20 +1,19 @@
 """Packet-level traffic sources.
 
 Section 3.2's application model: periodic multimedia traffic (CBR /
-adaptive-rate video) and bursty data (WWW browsing).  These sources generate
-packet emission timestamps used by the wireless channel model and the
-examples; the resource-management algorithms themselves operate on the
-``(sigma, rho)`` abstractions.
+adaptive-rate video).  These sources generate packet emission timestamps
+used by the wireless channel model and the examples; the
+resource-management algorithms themselves operate on the ``(sigma, rho)``
+abstractions.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterator, List, Tuple
 
 from .flowspec import FlowSpec
 
-__all__ = ["cbr_packets", "onoff_packets", "AdaptiveVideoSource"]
+__all__ = ["cbr_packets", "AdaptiveVideoSource"]
 
 
 def cbr_packets(
@@ -36,35 +35,6 @@ def cbr_packets(
             return
         yield (t, packet_size)
         index += 1
-
-
-def onoff_packets(
-    rng: random.Random,
-    peak_rate: float,
-    packet_size: float,
-    mean_on: float,
-    mean_off: float,
-    duration: float,
-    start: float = 0.0,
-) -> Iterator[Tuple[float, float]]:
-    """Bursty on/off source (exponential on and off periods).
-
-    Models the WWW-browser style workload: silent, then a burst at
-    ``peak_rate``.
-    """
-    if peak_rate <= 0 or packet_size <= 0:
-        raise ValueError("peak_rate and packet_size must be positive")
-    if mean_on <= 0 or mean_off <= 0:
-        raise ValueError("mean_on and mean_off must be positive")
-    t = start
-    end = start + duration
-    interval = packet_size / peak_rate
-    while t < end:
-        on_end = min(end, t + rng.expovariate(1.0 / mean_on))
-        while t < on_end:
-            yield (t, packet_size)
-            t += interval
-        t = on_end + rng.expovariate(1.0 / mean_off)
 
 
 class AdaptiveVideoSource:

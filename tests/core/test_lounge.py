@@ -6,14 +6,13 @@ from repro.core import (
     CafeteriaReservation,
     CellReservations,
     DefaultLoungeReservation,
-    ProbabilisticAdmission,
     SlotCounter,
 )
 from repro.des import Environment
 from repro.network import Link
 
 
-def build(cls, distribution=None, default_neighbors=(), **kwargs):
+def build(cls, distribution=None, **kwargs):
     env = Environment()
     own = CellReservations(Link("a", "b", capacity=1600.0))
     n1 = CellReservations(Link("c", "d", capacity=1600.0))
@@ -26,7 +25,6 @@ def build(cls, distribution=None, default_neighbors=(), **kwargs):
         handoff_distribution=lambda: distribution or {},
         per_user_bandwidth=16.0,
         slot_duration=kwargs.pop("slot_duration", 60.0),
-        default_neighbors=default_neighbors,
         **kwargs,
     )
     env.process(process.run())
@@ -162,31 +160,3 @@ def test_default_lounge_uniform_fallback_without_distribution():
     env.run(until=61.0)
     assert n1.aggregate_for(process.tag) == pytest.approx(2 * 16.0)
     assert n2.aggregate_for(process.tag) == pytest.approx(2 * 16.0)
-
-
-def test_default_lounge_probabilistic_local_reservation():
-    admission = ProbabilisticAdmission(
-        capacity=40.0, window=0.05, p_qos=0.02,
-        types=[(1.0, 5.0, 0.7), (4.0, 4.0, 0.7)],
-    )
-    def occupancy():
-        return ([5, 1], [3, 0])
-
-    env, process, own, n1, n2 = build(
-        DefaultLoungeReservation,
-        default_neighbors=["n1"],
-        admission=admission,
-        occupancy=occupancy,
-    )
-    env.run(until=61.0)
-    reserved = own.aggregate_for(("default-in", "cafe"))
-    max_counts = admission.max_admissible_counts([5, 1], [3, 0])
-    assert reserved == pytest.approx(admission.reservation_for(max_counts))
-
-
-def test_default_lounge_without_admission_skips_local():
-    env, process, own, n1, n2 = build(
-        DefaultLoungeReservation, default_neighbors=["n1"]
-    )
-    env.run(until=61.0)
-    assert own.aggregate_for(("default-in", "cafe")) == 0.0

@@ -14,7 +14,6 @@ from repro.des import Environment
 from repro.mobility import campus_floorplan, figure4_floorplan, office_week_trace
 from repro.network import Discipline, campus_backbone
 from repro.network.routing import qos_route
-from repro.profiles import ProfileServer
 from repro.sim import FloorplanSimulator
 from repro.traffic import Connection
 from repro.wireless import GilbertElliottChannel
@@ -125,17 +124,3 @@ def test_full_campus_tick_with_background_load():
     for conn in sim.manager.connections.values():
         if conn.qos.bounds is not None and conn.state.value == "active":
             assert conn.qos.bounds.contains(conn.rate)
-
-
-def test_zone_handover_between_profile_servers():
-    """Portable profiles migrate across zones without losing triplets."""
-    north = ProfileServer(zone_id="north")
-    south = ProfileServer(zone_id="south")
-    north.seed_presence("p", "n1")
-    north.report_handoff("p", "n1", "n2")
-    north.report_handoff("p", "n2", "border")
-    profile = north.forget_portable("p")
-    south.adopt_portable(profile, context=("n2", "border"))
-    south.report_handoff("p", "border", "s1")
-    assert south.portable_profile("p").next_predicted("n2", "border") == "s1"
-    assert south.portable_profile("p").next_predicted("n1", "n2") == "border"

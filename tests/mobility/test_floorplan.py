@@ -39,18 +39,6 @@ def test_occupants_only_on_offices():
         plan.set_occupants("a", {"p"})
 
 
-def test_corridor_next_continues_forward():
-    plan = FloorPlan()
-    for c in "abc":
-        plan.add_cell(c, CellClass.CORRIDOR)
-    plan.connect("a", "b")
-    plan.connect("b", "c")
-    assert plan.corridor_next("a", "b") == "c"
-    assert plan.corridor_next("c", "b") == "a"
-    # Dead end bounces back.
-    assert plan.corridor_next("b", "c") == "b"
-
-
 def test_figure4_environment_matches_paper():
     plan = figure4_floorplan()
     assert plan.cell_class("A") is CellClass.OFFICE

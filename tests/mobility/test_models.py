@@ -7,7 +7,6 @@ import pytest
 from repro.des import Environment
 from repro.mobility import (
     CafeteriaPatron,
-    CorridorTransit,
     FloorPlan,
     MeetingAttendee,
     OfficeWorker,
@@ -92,23 +91,6 @@ def test_random_walker_respects_max_moves():
     # Every move is between adjacent cells.
     for _, frm, to in log:
         assert to in plan.neighbors(frm)
-
-
-def test_corridor_transit_moves_linearly_until_room():
-    plan = campus_floorplan()
-    env = Environment()
-    log = []
-    p = place(plan, "u", "cor-1")
-    model = CorridorTransit(
-        env, plan, p, recording_mover(log), random.Random(3),
-        entry_from="office-1",
-    )
-    env.process(model.run())
-    env.run()
-    cells_visited = [to for _, _, to in log]
-    # Never doubles back: strictly forward along the spine into a room.
-    assert len(cells_visited) == len(set(cells_visited))
-    assert plan.cell_class(cells_visited[-1]) is not CellClass.CORRIDOR
 
 
 def test_office_worker_returns_home():

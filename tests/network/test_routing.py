@@ -1,4 +1,4 @@
-"""Tests for routing: Dijkstra, QoS pruning, widest path."""
+"""Tests for routing: Dijkstra and QoS pruning."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.network import (
     line_topology,
     qos_route,
     shortest_path,
-    widest_path,
 )
 
 
@@ -72,14 +71,6 @@ def test_qos_route_respects_reservations():
     assert qos_route(topo, "a", "d", b_min=8.0) == ["a", "x", "y", "d"]
     with pytest.raises(NoRouteError):
         qos_route(topo, "a", "d", b_min=50.0)
-
-
-def test_widest_path_maximizes_bottleneck():
-    topo = grid_topology()
-    assert widest_path(topo, "a", "d") == ["a", "b", "d"]
-    # Consume most of the fat route; the thin route becomes wider.
-    topo.link("b", "d").admit("big", minimum=95.0)
-    assert widest_path(topo, "a", "d") == ["a", "x", "y", "d"]
 
 
 def test_negative_metric_rejected():

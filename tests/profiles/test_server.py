@@ -49,25 +49,6 @@ def test_context_reset_on_discontinuity():
     assert profile.next_predicted(None, "X") == "Y"
 
 
-def test_forget_and_adopt_portable_between_zones():
-    zone1 = ProfileServer(zone_id="z1")
-    zone2 = ProfileServer(zone_id="z2")
-    zone1.seed_presence("p", "C")
-    zone1.report_handoff("p", "C", "D")
-    profile = zone1.forget_portable("p")
-    assert profile is not None
-    assert "p" not in zone1.portables
-    zone2.adopt_portable(profile, context=("C", "D"))
-    assert zone2.context_of("p") == ("C", "D")
-    assert zone2.portable_profile("p").next_predicted("C", "D") is None  # 1 sample
-    zone2.report_handoff("p", "D", "E")
-    assert zone2.portable_profile("p").next_predicted("C", "D") == "E"
-
-
-def test_forget_unknown_portable_returns_none():
-    assert ProfileServer().forget_portable("ghost") is None
-
-
 def test_windows_propagate_to_profiles():
     server = ProfileServer(portable_window=5, cell_window=7)
     server.register_portable("p")

@@ -4,8 +4,8 @@ from collections import defaultdict
 from hypothesis import given, settings, strategies as st
 
 from repro.mobility import class_session_trace, figure4_floorplan, office_week_trace
-from repro.network import Topology, qos_route, widest_path
-from repro.network.routing import NoRouteError, shortest_path
+from repro.network import Topology, qos_route
+from repro.network.routing import NoRouteError
 
 
 @settings(max_examples=10, deadline=None)
@@ -98,27 +98,3 @@ def test_qos_route_links_always_satisfy_floor(edges, b_min):
         return
     for link in topo.path_links(route):
         assert link.excess_available >= b_min
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid_edges)
-def test_widest_path_bottleneck_dominates_shortest(edges):
-    """The widest path's bottleneck is >= the shortest path's bottleneck."""
-    topo = Topology()
-    for a, b, capacity in edges:
-        if a != b and not topo.has_link(f"n{a}", f"n{b}"):
-            topo.add_duplex_link(f"n{a}", f"n{b}", capacity=capacity)
-    nodes = [n.node_id for n in topo.nodes]
-    if len(nodes) < 2:
-        return
-    src, dst = nodes[0], nodes[-1]
-    try:
-        short = shortest_path(topo, src, dst)
-        wide = widest_path(topo, src, dst)
-    except NoRouteError:
-        return
-
-    def bottleneck(route):
-        return min(link.excess_available for link in topo.path_links(route))
-
-    assert bottleneck(wide) >= bottleneck(short) - 1e-9

@@ -304,6 +304,15 @@ def test_campus_scale_result_pinned_exactly():
     )
 
 
+def test_total_rate_counts_only_live_connections():
+    """A dropped connection stays in the manager's table with its last rate;
+    counting it would let the total exceed what the cells can carry."""
+    config = CampusScaleConfig(portables=2_000, active_fraction=0.5, capacity=400.0)
+    result = run_campus_scale(config)
+    assert result.drops > 0
+    assert result.total_rate <= result.cells * config.capacity
+
+
 # -- idle footprint ----------------------------------------------------------------
 
 

@@ -13,9 +13,10 @@ Each test pins a concrete fix:
   (a set) — float addition order varied with the hash seed;
 * ``maxmin_allocation`` iterated its ``active`` set while mutating float
   state;
-* ``FloorplanSimulator`` built ``neighbor_ledgers`` dicts and
-  ``default_neighbors`` lists straight from ``Cell.neighbors`` (a set), so
-  downstream reservation spreading saw hash-ordered containers, and
+* ``FloorplanSimulator`` built ``neighbor_ledgers`` dicts and the
+  cafeteria's ``default_neighbors`` list straight from ``Cell.neighbors``
+  (a set), so downstream reservation spreading saw hash-ordered
+  containers, and
   ``CellularResourceManager.update_pools`` walked neighbors unsorted.
 """
 

@@ -1,11 +1,8 @@
-"""Tests for Poisson arrival processes and TypeSpec."""
-
-import random
+"""Tests for TypeSpec, Figure 6's per-type workload parameters."""
 
 import pytest
 
-from repro.des import Environment
-from repro.traffic import PoissonArrivals, TypeSpec, sample_exponential
+from repro.traffic import TypeSpec
 
 
 def test_typespec_validation():
@@ -23,65 +20,3 @@ def test_typespec_derived_quantities():
     spec = TypeSpec(bandwidth=4.0, arrival_rate=1.0, holding_mean=0.25)
     assert spec.mu == pytest.approx(4.0)
     assert spec.offered_load == pytest.approx(1.0)
-
-
-def test_sample_exponential_validation():
-    rng = random.Random(1)
-    with pytest.raises(ValueError):
-        sample_exponential(rng, 0.0)
-    assert sample_exponential(rng, 2.0) > 0
-
-
-def test_exponential_mean_statistics():
-    rng = random.Random(42)
-    samples = [sample_exponential(rng, 5.0) for _ in range(20000)]
-    assert sum(samples) / len(samples) == pytest.approx(5.0, rel=0.05)
-
-
-def test_poisson_arrival_counts():
-    """lambda=2 over 500 time units -> ~1000 arrivals (within 10%)."""
-    env = Environment()
-    arrivals = []
-    PoissonArrivals(
-        env,
-        [TypeSpec(bandwidth=1.0, arrival_rate=2.0, holding_mean=1.0)],
-        on_arrival=lambda ctype, now: arrivals.append((ctype, now)),
-        rng=random.Random(7),
-    )
-    env.run(until=500.0)
-    assert 900 <= len(arrivals) <= 1100
-    assert all(ctype == 0 for ctype, _ in arrivals)
-
-
-def test_multiple_types_independent_streams():
-    env = Environment()
-    counts = {0: 0, 1: 0}
-
-    def on_arrival(ctype, now):
-        counts[ctype] += 1
-
-    PoissonArrivals(
-        env,
-        [
-            TypeSpec(bandwidth=1.0, arrival_rate=9.0, holding_mean=1.0),
-            TypeSpec(bandwidth=4.0, arrival_rate=1.0, holding_mean=1.0),
-        ],
-        on_arrival=on_arrival,
-        rng=random.Random(3),
-    )
-    env.run(until=200.0)
-    # Rate ratio 9:1 should show in the counts.
-    assert counts[0] > 5 * counts[1] > 0
-
-
-def test_zero_rate_type_spawns_no_stream():
-    env = Environment()
-    arrivals = []
-    PoissonArrivals(
-        env,
-        [TypeSpec(bandwidth=1.0, arrival_rate=0.0, holding_mean=1.0)],
-        on_arrival=lambda ctype, now: arrivals.append(ctype),
-        rng=random.Random(1),
-    )
-    env.run(until=100.0)
-    assert arrivals == []

@@ -1,10 +1,8 @@
 """Tests for packet sources and the adaptive video encoder."""
 
-import random
-
 import pytest
 
-from repro.traffic import AdaptiveVideoSource, cbr_packets, onoff_packets
+from repro.traffic import AdaptiveVideoSource, cbr_packets
 
 
 def test_cbr_spacing_and_count():
@@ -25,28 +23,6 @@ def test_cbr_respects_start_offset():
 def test_cbr_validation():
     with pytest.raises(ValueError):
         list(cbr_packets(rate=0, packet_size=1, duration=1))
-
-
-def test_onoff_bursts_have_gaps():
-    rng = random.Random(5)
-    packets = list(
-        onoff_packets(rng, peak_rate=100.0, packet_size=1.0, mean_on=0.5,
-                      mean_off=2.0, duration=60.0)
-    )
-    assert packets
-    times = [t for t, _ in packets]
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    burst_gap = 1.0 / 100.0
-    assert any(g > 5 * burst_gap for g in gaps)  # silence periods exist
-    assert any(g == pytest.approx(burst_gap) for g in gaps)  # bursts exist
-
-
-def test_onoff_validation():
-    rng = random.Random(1)
-    with pytest.raises(ValueError):
-        list(onoff_packets(rng, 0, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        list(onoff_packets(rng, 1, 1, 0, 1, 1))
 
 
 def test_video_source_snaps_to_ladder():
