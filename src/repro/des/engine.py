@@ -9,7 +9,7 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
 from ..obs.trace import Tracer, get_tracer
 from .errors import EmptySchedule, StopProcess
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 __all__ = [
@@ -46,11 +46,6 @@ def events_processed_by_core() -> Dict[str, int]:
     which kernel actually ran — a sweep must never silently mix cores.
     """
     return dict(_EVENTS_BY_CORE)
-
-#: Priority for interrupt/initialize events (processed first at a timestamp).
-URGENT = 0
-#: Priority for ordinary events.
-NORMAL = 1
 
 
 class Environment:

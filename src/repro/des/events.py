@@ -17,6 +17,11 @@ __all__ = ["PENDING", "Event", "Timeout", "Condition", "AllOf", "AnyOf"]
 #: Sentinel for "event has no value yet".
 PENDING = object()
 
+#: Priority for interrupt/initialize events (processed first at a timestamp).
+URGENT = 0
+#: Priority for ordinary events.
+NORMAL = 1
+
 
 class Event:
     """A one-shot occurrence on the simulation timeline.
@@ -115,15 +120,17 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Inlined Event.__init__ — timeouts dominate event creation in the
-        # schedule/step hot path, and the extra super() frame is measurable.
+        # Inlined Event.__init__ and Environment.schedule — timeouts dominate
+        # event creation in the schedule/step hot path, and each extra frame
+        # is measurable.  The entry is the one schedule() would build, pushed
+        # through env._push so a tracer still records it.
         self.env = env
         self.callbacks = []
         self.defused = False
         self._delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env._push(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
     @property
     def delay(self) -> float:

@@ -3,7 +3,8 @@
 * :class:`TwoCellSimulator` — the teletraffic model behind Figure 6: two
   identical neighboring cells, Poisson arrivals of k connection types,
   exponential holding, geometric handoff chains, pluggable new-connection
-  admission policy.
+  admission policy.  Arrivals and residencies are timeout callbacks, not
+  processes.
 * :class:`FloorplanSimulator` — a full cellular system over a
   :class:`~repro.mobility.floorplan.FloorPlan`, wiring cells, base stations,
   the resource manager, and per-class reservation processes together.
@@ -71,6 +72,12 @@ class TwoCellSimulator:
     other cell with probability ``h`` at the end of each, terminating
     otherwise.  Handoffs that do not fit (after the admission policy's
     reservation) are dropped.
+
+    Every workload event is a bare :class:`~repro.des.events.Timeout` whose
+    value is its ``(cell, ctype)`` and whose callback is :meth:`_arrival`
+    or :meth:`_residency_end`; the simulator starts no process.  A
+    connection carries no state beyond its cell and type, so a generator
+    per connection would only add an ``Initialize`` and an end event each.
     """
 
     CELLS = ("q", "s")
@@ -84,6 +91,14 @@ class TwoCellSimulator:
             cell: [0] * len(config.types) for cell in self.CELLS
         }
         self._bandwidths = tuple(t.bandwidth for t in config.types)
+        #: Per type ``(arrival rate, mu, handoff probability)``, read once
+        #: here: ``TypeSpec.mu`` is a property.
+        self._types = tuple(
+            (t.arrival_rate, t.mu, t.handoff_prob) for t in config.types
+        )
+        self._room = config.capacity + 1e-9
+        self._static_room = config.capacity - config.static_reserve + 1e-9
+        self._warmup = config.warmup
         self._admission: Optional[ProbabilisticAdmission] = None
         if config.policy == "probabilistic":
             self._admission = ProbabilisticAdmission(
@@ -94,50 +109,61 @@ class TwoCellSimulator:
                     (t.bandwidth, t.mu, t.handoff_prob) for t in config.types
                 ],
             )
+        # One Poisson stream per (cell, type); a type with rate 0 has none.
         for cell in self.CELLS:
-            for index, spec in enumerate(config.types):
-                self.env.process(self._arrival_stream(cell, index, spec))
+            for ctype, (rate, _, _) in enumerate(self._types):
+                if rate > 0:
+                    self.env.timeout(
+                        self.rng.expovariate(rate), (cell, ctype)
+                    ).callbacks.append(self._arrival)
 
-    # -- workload processes ------------------------------------------------------
+    # -- workload events ---------------------------------------------------------
 
-    def _arrival_stream(self, cell: str, index: int, spec):
-        env = self.env
-        while True:
-            yield env.timeout(self.rng.expovariate(spec.arrival_rate))
-            self._new_request(cell, index)
+    def _arrival(self, event) -> None:
+        """A new request: admit or block it, re-arm the stream, then start
+        the admitted connection's first residency.
 
-    def _new_request(self, cell: str, ctype: int) -> None:
-        counting = self.env.now >= self.config.warmup
+        The next interarrival is drawn and scheduled before the holding
+        time: the RNG draw order and the timeouts' insertion order (which
+        breaks ties at equal times) fix every counter of a run.
+        """
+        cell, ctype = key = event._value
+        env, rng = self.env, self.rng
+        rate, mu, _ = self._types[ctype]
         admitted = self._admit_new(cell, ctype)
-        if counting:
+        if env._now >= self._warmup:
             self.stats.record_request(admitted)
+        env.timeout(rng.expovariate(rate), key).callbacks.append(self._arrival)
         if admitted:
             self.counts[cell][ctype] += 1
-            self.env.process(self._residency(cell, ctype))
+            env.timeout(rng.expovariate(mu), key).callbacks.append(
+                self._residency_end
+            )
 
-    def _residency(self, cell: str, ctype: int):
-        """A connection's cell-residencies, handing off between the two
-        cells until it terminates or is dropped."""
+    def _residency_end(self, event) -> None:
+        """A connection leaves its cell: it terminates, or hands off to the
+        other cell and starts a residency there if it fits."""
+        cell, ctype = event._value
         env, rng, counts = self.env, self.rng, self.counts
-        spec = self.config.types[ctype]
-        mu = spec.mu
-        while True:
-            yield env.timeout(rng.expovariate(mu))
-            counts[cell][ctype] -= 1
-            counting = env.now >= self.config.warmup
+        _, mu, handoff_prob = self._types[ctype]
+        counts[cell][ctype] -= 1
+        counting = env._now >= self._warmup
 
-            if rng.random() >= spec.handoff_prob:
-                if counting:
-                    self.stats.record_completion()
-                return  # natural termination
-
-            cell = "s" if cell == "q" else "q"
-            fits = self._bandwidth_used(cell) + spec.bandwidth <= self.config.capacity + 1e-9
+        if rng.random() >= handoff_prob:
             if counting:
-                self.stats.record_handoff(attempts=1, drops=0 if fits else 1)
-            if not fits:
-                return  # dropped mid-call
-            counts[cell][ctype] += 1
+                self.stats.record_completion()
+            return  # natural termination
+
+        cell = "s" if cell == "q" else "q"
+        fits = self._bandwidth_used(cell) + self._bandwidths[ctype] <= self._room
+        if counting:
+            self.stats.record_handoff(attempts=1, drops=0 if fits else 1)
+        if not fits:
+            return  # dropped mid-call
+        counts[cell][ctype] += 1
+        env.timeout(rng.expovariate(mu), (cell, ctype)).callbacks.append(
+            self._residency_end
+        )
 
     # -- admission ----------------------------------------------------------------
 
@@ -147,16 +173,15 @@ class TwoCellSimulator:
         return sum(map(mul, self.counts[cell], self._bandwidths))
 
     def _admit_new(self, cell: str, ctype: int) -> bool:
-        spec = self.config.types[ctype]
+        bandwidth = self._bandwidths[ctype]
         used = self._bandwidth_used(cell)
-        if used + spec.bandwidth > self.config.capacity + 1e-9:
+        if used + bandwidth > self._room:
             return False  # no physical room
 
         if self.config.policy == "plain":
             return True
         if self.config.policy == "static":
-            limit = self.config.capacity - self.config.static_reserve
-            return used + spec.bandwidth <= limit + 1e-9
+            return used + bandwidth <= self._static_room
         other = "s" if cell == "q" else "q"
         return self._admission.admit_new(
             ctype, self.counts[cell], self.counts[other]

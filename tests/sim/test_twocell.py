@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from repro.des import Environment
 from repro.sim import TwoCellConfig, TwoCellSimulator, figure6_config
+from repro.traffic.arrivals import TypeSpec
 
 
 def run(policy="plain", horizon=120.0, seed=3, **kw):
@@ -117,6 +119,52 @@ def test_counters_pinned_exactly(policy, overrides, counters):
     names = ("new_requests", "admitted", "blocked", "handoff_attempts",
              "handoff_drops", "completed")
     assert dataclasses.asdict(stats) == {**dict(zip(names, counters)), "extra": {}}
+
+
+def test_plain_run_event_count_pinned():
+    """Every event of the first pinned run is a workload timeout (plus the
+    run's horizon event): one per arrival and one per residency.  With a
+    process per connection and per arrival stream the same run fired
+    23,640, its outputs unchanged."""
+    sim = TwoCellSimulator(figure6_config(policy="plain", horizon=60.0, seed=11))
+    sim.run()
+    assert sim.env.events_processed == 16122
+
+
+_POLICIES = [
+    ("plain", {}),
+    ("static", {"static_reserve": 6.0}),
+    ("probabilistic", {"window": 0.05, "p_qos": 0.001}),
+]
+
+
+@pytest.mark.parametrize("policy, overrides", _POLICIES)
+def test_twocell_starts_no_process(monkeypatch, policy, overrides):
+    def refuse(self, generator):
+        raise AssertionError("TwoCellSimulator started a process")
+
+    monkeypatch.setattr(Environment, "process", refuse)
+    stats = run(policy=policy, horizon=10.0, warmup=2.0, **overrides).stats
+    assert stats.new_requests > 0 and stats.handoff_attempts > 0
+
+
+@pytest.mark.parametrize("policy, overrides", _POLICIES)
+def test_zero_rate_type_schedules_no_arrivals(policy, overrides):
+    """A type with arrival rate 0 (allowed by ``TypeSpec``) draws no
+    interarrival, so the run is the one-type run, counter for counter."""
+    busy = (TypeSpec(bandwidth=1.0, arrival_rate=30.0, holding_mean=0.2, handoff_prob=0.7),)
+    idle = (TypeSpec(bandwidth=4.0, arrival_rate=0.0, holding_mean=0.25, handoff_prob=0.7),)
+
+    def counters(types):
+        config = TwoCellConfig(
+            types=types, policy=policy, seed=11, horizon=60.0, **overrides
+        )
+        return dataclasses.asdict(TwoCellSimulator(config).run().stats)
+
+    alone = counters(busy)
+    assert counters(busy + idle) == alone
+    assert counters(idle + busy) == alone
+    assert alone["new_requests"] > 0
 
 
 _SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
