@@ -13,7 +13,7 @@ Subpackages
 ``repro.mobility``
     Floorplans, per-cell-class mobility models, calibrated traces.
 ``repro.profiles``
-    Table 1's cell/portable profiles, the profile server, caches.
+    Table 1's cell/portable profiles and the profile server.
 ``repro.traffic``
     (sigma, rho) flowspecs, connections, Figure 6 workload types, sources.
 ``repro.core``

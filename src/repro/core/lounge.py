@@ -66,9 +66,10 @@ class SlotCounter:
 
 
 class _SlottedLounge:
-    """Shared machinery: slot clock, counters, neighbor distribution.
+    """Shared machinery: slot clock, outgoing counter, neighbor distribution.
 
-    Subclasses define ``_predict(counter)``: the next slot's count.
+    Subclasses define ``_predict(counter)``: the next slot's count.  One
+    that keeps counters of its own extends ``_close_slot`` to roll them.
     """
 
     kind = "lounge"
@@ -95,7 +96,6 @@ class _SlottedLounge:
 
         self.tag = (self.kind, cell_id)
         self.outgoing = SlotCounter()
-        self.incoming = SlotCounter()
         #: Predicted outgoing handoffs for the upcoming slot (observability).
         self.predicted_out: float = 0.0
 
@@ -104,18 +104,17 @@ class _SlottedLounge:
     def handoff_out(self) -> None:
         self.outgoing.count()
 
-    def handoff_in(self) -> None:
-        self.incoming.count()
-
     # -- the slot process --------------------------------------------------------------
 
     def run(self):
         """DES process: close a slot every ``slot_duration`` and re-reserve."""
         while True:
             yield self.env.timeout(self.slot_duration)
-            self.outgoing.roll()
-            self.incoming.roll()
+            self._close_slot()
             self._reserve_for_next_slot()
+
+    def _close_slot(self) -> None:
+        self.outgoing.roll()
 
     def _reserve_for_next_slot(self) -> None:
         self.predicted_out = self._predict(self.outgoing)
@@ -146,8 +145,16 @@ class CafeteriaReservation(_SlottedLounge):
     def __init__(self, *args, default_neighbors: Sequence[Hashable] = (), **kwargs):
         super().__init__(*args, **kwargs)
         self.default_neighbors = set(default_neighbors)
+        self.incoming = SlotCounter()
         #: Predicted incoming handoffs for the upcoming slot (observability).
         self.predicted_in: float = 0.0
+
+    def handoff_in(self) -> None:
+        self.incoming.count()
+
+    def _close_slot(self) -> None:
+        super()._close_slot()
+        self.incoming.roll()
 
     def _predict(self, counter: SlotCounter) -> float:
         window = counter.last(3)

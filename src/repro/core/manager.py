@@ -151,13 +151,18 @@ class CellularResourceManager:
     # -- portables --------------------------------------------------------------
 
     def attach_portable(self, portable, cell_id: Hashable) -> None:
-        """Register a portable's initial location (no handoff recorded)."""
+        """Register a portable's initial location (no handoff recorded).
+
+        The profile server is not told: a portable's profile and context
+        appear at its first reported handoff (:meth:`move_portables`).
+        Until then its window would be empty, and the predictor answers a
+        missing profile exactly as an empty one.
+        """
         pid = portable.portable_id
         now = self.env.now
         self._portables[pid] = portable
         portable.move_to(cell_id, now)
         self.cells[cell_id].enter(pid, now)
-        self.server.seed_presence(pid, cell_id)
         self.statmob.observe(pid, cell_id, now)
         self._mark_dirty(cell_id)
         self._index_portable(portable, cell_id)
@@ -374,15 +379,14 @@ class CellularResourceManager:
     def refresh_static_states(self) -> None:
         """Re-run the static/mobile test and react to flips.
 
-        Newly static portables get their reservations withdrawn, their
-        profiles refreshed from the server, and their cells rebalanced (the
-        QoS-upgrade path of Section 3.4.2).
+        Newly static portables get their reservations withdrawn and their
+        cells rebalanced (the QoS-upgrade path of Section 3.4.2).
 
         In incremental mode only *touched* cells are processed: cells
         dirtied since the previous pass plus cells where an armed static
         timer expired.  Untouched cells are provably fixpoints of the full
-        scan — their statics were withdrawn/refreshed at their flip tick
-        (both operations are idempotent), rebalancing them is the identity,
+        scan — their statics were withdrawn at their flip tick (withdrawal
+        is idempotent), rebalancing them is the identity,
         and their neighbors' pool inputs are unchanged — so both modes
         produce bit-identical state.
         """
@@ -394,7 +398,6 @@ class CellularResourceManager:
                     continue
                 if self.statmob.is_static(pid, now):
                     self.base_stations[cell_id].withdraw_reservation(pid)
-                    self.base_stations[cell_id].cache.refresh_static(pid)
             for cell_id in self.cells:
                 self.rebalance(cell_id)
             self.update_pools()
@@ -406,9 +409,7 @@ class CellularResourceManager:
             # last move, and that move armed this timer — so processing
             # flips covers every withdrawal the full scan would perform
             # (its re-runs on continuing statics are no-ops).
-            station = self.base_stations[cell_id]
-            station.withdraw_reservation(pid)
-            station.cache.refresh_static(pid)
+            self.base_stations[cell_id].withdraw_reservation(pid)
         # Withdrawals release targeted reservations held in *other* cells'
         # ledgers; their on_change dirt must rebalance this tick (the full
         # scan would have), so fold it in before clearing.

@@ -1,6 +1,5 @@
-"""Profiles substrate: Table 1 records, histories, the profile server, caches."""
+"""Profiles substrate: Table 1 records, histories and the profile server."""
 
-from .cache import ProfileCache
 from .history import CountedHandoffHistory, HandoffHistory, HandoffRecord
 from .records import (
     BookingCalendar,
@@ -12,7 +11,6 @@ from .records import (
 from .server import ProfileServer
 
 __all__ = [
-    "ProfileCache",
     "CountedHandoffHistory",
     "HandoffHistory",
     "HandoffRecord",

@@ -9,7 +9,7 @@ cell's keeps its aggregate as counts (:class:`CountedHandoffHistory`).
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 __all__ = ["HandoffRecord", "HandoffHistory", "CountedHandoffHistory"]
 
@@ -37,12 +37,7 @@ class HandoffRecord(tuple):
 
 
 class HandoffHistory:
-    """A sliding window of handoff records with aggregation queries.
-
-    The window's deque is allocated on the first :meth:`record`.  Most
-    portables never hand off, and until then the empty tuple answers every
-    query exactly as an empty deque would.
-    """
+    """A sliding window of handoff records with aggregation queries."""
 
     __slots__ = ("window", "_records")
 
@@ -50,15 +45,12 @@ class HandoffHistory:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._records: Union[Deque[HandoffRecord], Tuple[()]] = ()
+        self._records: Deque[HandoffRecord] = deque(maxlen=window)
 
     def record(
         self, previous: Optional[Hashable], current: Hashable, next_: Hashable
     ) -> None:
-        records = self._records
-        if isinstance(records, tuple):
-            records = self._records = deque(maxlen=self.window)
-        records.append(HandoffRecord(previous, current, next_))
+        self._records.append(HandoffRecord(previous, current, next_))
 
     def __len__(self) -> int:
         return len(self._records)

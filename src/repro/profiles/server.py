@@ -1,9 +1,11 @@
 """Zone profile servers (Section 3.4.3).
 
 Each zone has one profile server holding the cell profiles of its cells and
-the portable profiles of the portables currently inside it.  Base stations
-report every handoff; the server updates both histories and answers
-next-cell prediction queries.
+the portable profiles of the portables that hand off inside it.  Base
+stations report every handoff; the server updates both histories and answers
+next-cell prediction queries.  A portable's profile is created by its first
+reported handoff: before that its window would be empty, and no prediction
+could use it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ __all__ = ["ProfileServer"]
 
 
 class ProfileServer:
-    """Profile store and predictor for one zone."""
+    """Profile store and predictor for one zone.
+
+    It is the single store: base stations read profiles here, and no copy
+    is cached per base station (Section 3.4.3's cache is not modelled).
+    """
 
     def __init__(self, zone_id: Hashable = "zone-0",
                  portable_window: int = 50, cell_window: int = 500):
@@ -74,7 +80,8 @@ class ProfileServer:
         """Record that ``portable_id`` moved ``from_cell -> to_cell``.
 
         Updates the portable's triplet history (using its remembered previous
-        cell) and the departed cell's aggregate history.
+        cell) and the departed cell's aggregate history.  A portable's first
+        report creates its profile.
         """
         portable = self.register_portable(portable_id)
         previous, current = self._context.get(portable_id, (None, None))

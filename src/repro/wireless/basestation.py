@@ -1,8 +1,10 @@
 """Base stations: per-cell control points of the resource-management plane.
 
-A base station owns its cell's reservation ledger and profile cache, runs
-the static/mobile test, and executes the Section 6.4 advance-reservation
-cascade for the mobile portables in its cell.
+A base station owns its cell's reservation ledger, runs the static/mobile
+test, and executes the Section 6.4 advance-reservation cascade for the
+mobile portables in its cell.  It reads profiles straight from the zone's
+profile server; Section 3.4.3's per-base-station profile cache is not
+modelled, since no artifact reads a cached copy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from typing import Callable, Dict, Hashable, Optional
 
 from ..core.prediction import Prediction, PredictionLevel, ProfileAwarePredictor
 from ..core.statmob import StaticMobileClassifier
-from ..profiles.cache import ProfileCache
 from ..profiles.records import CellClass
 from ..profiles.server import ProfileServer
 from .cell import Cell
@@ -34,7 +35,6 @@ class BaseStation:
         self.server = server
         self.statmob = statmob
         self.get_cell = get_cell
-        self.cache = ProfileCache(cell.cell_id, server)
         self.predictor = ProfileAwarePredictor(server)
         #: portable -> cell where we placed a targeted advance reservation.
         self._placed: Dict[Hashable, Hashable] = {}

@@ -92,6 +92,42 @@ def test_context_pulled_from_server_when_missing():
     assert prediction.cell is not None
 
 
+def _server_where_faculty_is(known_as):
+    """``build_server`` plus an aggregate-history corridor H and a default
+    cell X; "faculty" never handed off, and the server either has no
+    profile for it, an empty registered one, or an empty one seeded at D."""
+    server = build_server()
+    server.register_cell("H", CellClass.CORRIDOR, neighbors=["E"])
+    server.register_cell("X", CellClass.DEFAULT)
+    for i in range(3):
+        server.report_handoff(f"u{i}", "H", "E")
+    if known_as == "registered":
+        server.register_portable("faculty")
+    elif known_as == "seeded":
+        server.seed_presence("faculty", "D")
+    return server
+
+
+@pytest.mark.parametrize("levels", [(1, 2), (1,), (2,)])
+@pytest.mark.parametrize("cell", ["D", "H", "X"])
+def test_missing_profile_predicts_like_an_empty_one(cell, levels):
+    """A portable's profile appears at its first reported handoff, so the
+    cascade now meets "no profile" where it used to meet an empty window.
+    Both must give the same prediction, whatever the levels: on a corridor
+    next to the portable's office (occupant rule), one with aggregate
+    history, and a default cell."""
+    predictions = [
+        ProfileAwarePredictor(_server_where_faculty_is(known_as)).predict_for(
+            "faculty", cell, levels=levels
+        )
+        for known_as in ("missing", "registered", "seeded")
+    ]
+    assert predictions[0] == predictions[1] == predictions[2]
+    assert predictions[0].level is not PredictionLevel.PORTABLE_PROFILE
+    expected = {"D": "A", "H": "E", "X": None}[cell] if 2 in levels else None
+    assert predictions[0].cell == expected
+
+
 # -- the least-squares predictor (cafeteria) ----------------------------------------------
 
 

@@ -188,8 +188,10 @@ def _assert_answers_like(history, reference):
 def test_lazy_window_answers_like_an_eager_deque(case):
     """Both kinds of history, a portable profile's (window scan) and a cell
     profile's (counts kept per context), must answer every query like the
-    eager reference, item order included: before the first record, while
-    the window fills, and while it evicts."""
+    plain ``deque(maxlen=window)`` reference, item order included: before
+    the first record, while the window fills, and while it evicts.  (The
+    name dates from when a portable's window was allocated on its first
+    record; both kinds now allocate it at construction.)"""
     window, records = case
     histories = [
         ProfileServer(portable_window=window).register_portable("p").history,

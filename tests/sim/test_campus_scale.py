@@ -17,7 +17,8 @@ import tracemalloc
 import pytest
 
 from repro.core import audio_request
-from repro.mobility import campus_plan
+from repro.mobility import campus_floorplan, campus_plan
+from repro.profiles import ProfileServer
 from repro.sim import (
     CampusScaleConfig,
     FloorplanSimulator,
@@ -318,12 +319,15 @@ def test_total_rate_counts_only_live_connections():
 
 def test_idle_portables_retain_little_memory():
     """An attached portable that never connects or moves keeps only its own
-    records alive: no handoff window, no residence object, no second table
-    entry, no connection list.  Measured on CPython 3.11 with this workload:
+    records alive: no profile, no residence object, no second table entry,
+    no connection list.  Measured on CPython 3.11 with this workload:
     1,428 B per portable with an eager ``deque(maxlen=50)`` per profile, a
     ``_Residence`` per portable and a simulator-side copy of the portable
     table; 506 B without them; 450 B once ``connections`` is the shared
-    empty tuple rather than an empty list per portable.
+    empty tuple rather than an empty list per portable; 208 B once the
+    profile server first hears of a portable at its first handoff.  What
+    is left is the ``Portable``, its classifier residence, its cell
+    presence and the manager's table entry.
 
     The loop attaches with the cyclic collector off, as
     ``run_campus_scale`` does, and must leave nothing for it to find: that
@@ -348,7 +352,63 @@ def test_idle_portables_retain_little_memory():
             gc.enable()
     assert len(sim.portables) == count
     assert unreachable == 0
-    assert retained / count < 800, f"{retained / count:.0f} B per idle portable"
+    assert retained / count < 300, f"{retained / count:.0f} B per idle portable"
+
+
+def test_profiles_appear_at_first_handoff():
+    """Attaching tells the profile server nothing.  A portable's profile and
+    its ``(previous, current)`` context appear with its first reported
+    handoff, holding that one record."""
+    sim = FloorplanSimulator(campus_floorplan())
+    server = sim.manager.server
+    for i, cell_id in enumerate(sim.plan.cells):
+        sim.add_portable(f"u{i}", cell_id)
+    assert server.portables == {}
+    for pid in sim.portables:
+        assert server.context_of(pid) == (None, None)
+
+    mover = "u3"
+    assert sim.portables[mover].current_cell == "cor-4"
+    sim.move(mover, "lounge")
+    assert list(server.portables) == [mover]
+    assert list(server.portable_profile(mover).history) == [
+        (None, "cor-4", "lounge")
+    ]
+    assert server.context_of(mover) == ("cor-4", "lounge")
+    assert server.context_of("u0") == (None, None)
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full-scan"])
+def test_profile_registrations_equal_reported_handoffs(monkeypatch, incremental):
+    """Only a reported handoff registers a portable profile: not an attach,
+    and not a static flip in the maintenance pass."""
+    calls = {"register_portable": 0, "report_handoff": 0}
+    for name in calls:
+        original = getattr(ProfileServer, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ProfileServer, name, counted)
+
+    sim = FloorplanSimulator(
+        campus_floorplan(), static_threshold=100.0, incremental=incremental
+    )
+    for pid, cell_id in [("a", "cor-1"), ("b", "cor-4"), ("c", "office-1")]:
+        sim.add_portable(pid, cell_id)
+        sim.request_connection(pid, audio_request())
+    sim.move_many([("a", "cor-2"), ("b", "cafeteria")])
+    sim.run(until=150.0)
+    sim.move("b", "cor-4")
+    sim.run(until=200.0)
+    sim.manager.refresh_static_states()
+
+    now = sim.env.now
+    assert sim.manager.statmob.is_static("a", now)  # flipped in this pass
+    assert not sim.manager.statmob.is_static("b", now)
+    assert calls["report_handoff"] == 3
+    assert calls["register_portable"] == calls["report_handoff"]
 
 
 def test_campus_scale_restores_the_collector_state(monkeypatch):

@@ -43,10 +43,13 @@ def test_move_records_handoff_stats_and_slot_counters():
     outcome = sim.move("u", "lounge")
     assert outcome.clean
     assert sim.stats.handoff_attempts == 1
-    # The default-lounge slot counter saw an incoming handoff.
-    assert sim.lounge_processes["lounge"].incoming.current == 1
+    # A default lounge counts only its outgoing handoffs: the cafeteria
+    # alone reserves for its arrivals, so only it counts them.
+    assert not hasattr(sim.lounge_processes["lounge"], "incoming")
     sim.move("u", "cor-4")
     assert sim.lounge_processes["lounge"].outgoing.current == 1
+    sim.move("u", "cafeteria")
+    assert sim.lounge_processes["cafeteria"].incoming.current == 1
 
 
 def test_meeting_calendar_drives_reservations():
