@@ -19,7 +19,6 @@ report states the multiplier rather than asserting a ceiling for it.
 """
 
 import os
-import tempfile
 import time
 
 from conftest import once

@@ -32,7 +32,7 @@ from typing import (
 
 from ..profiles.server import ProfileServer
 from ..traffic.connection import Connection, ConnectionState
-from .maxmin import _EPS, MaxMinProblem, maxmin_allocation
+from .maxmin import fill_single_link
 from .qos import QoSRequest
 from .statmob import StaticMobileClassifier
 
@@ -341,40 +341,41 @@ class CellularResourceManager:
 
         Single-link instance of the Section 5.2 policy: mobile portables'
         connections are pinned at ``b_min`` (demand 0), static portables'
-        connections share the leftover up to their ``b_max``.
+        connections share the leftover up to their ``b_max``.  Every
+        connection crosses the cell's one link, so the shares come from
+        :func:`~repro.core.maxmin.fill_single_link`, which replays
+        :func:`~repro.core.maxmin.maxmin_allocation` bit for bit.
+
+        Returns ``{conn_id: excess share}`` in link order.
         """
         now = self.env.now
-        cell = self.cells[cell_id]
-        link = cell.link
+        link = self.cells[cell_id].link
         # Read before the static tests: their on_static callback may change
         # the ledger.
         capacity = max(0.0, link.excess_available)
         conns: List[Connection] = []
+        ids: List[Hashable] = []
         demands: List[float] = []
         for conn_id in link.allocations:
             conn = self.connections.get(conn_id)
             if conn is None or conn.state is not ConnectionState.ACTIVE:
                 continue
-            if conn.qos.bounds is None:
+            bounds = conn.qos.bounds
+            if bounds is None:
                 continue
-            owner_static = self.statmob.is_static(conn.portable_id, now)
             conns.append(conn)
-            demands.append(conn.qos.bounds.span if owner_static else 0.0)
-        if any(demand > _EPS for demand in demands):
-            problem = MaxMinProblem()
-            problem.add_link(cell_id, capacity)
-            for conn, demand in zip(conns, demands):
-                problem.add_connection(conn.conn_id, [cell_id], demand)
-            shares = maxmin_allocation(problem)
-        else:
-            # Progressive filling freezes every connection at zero before
-            # its first round when none wants excess; most calls are these.
-            shares = {conn.conn_id: 0.0 for conn in conns}
-        for conn in conns:
-            share = shares.get(conn.conn_id, 0.0)
+            ids.append(conn_id)
+            demands.append(
+                float(bounds.span)
+                if self.statmob.is_static(conn.portable_id, now)
+                else 0.0
+            )
+        shares = fill_single_link(float(capacity), ids, demands)
+        for conn, share in zip(conns, shares):
+            bounds = conn.qos.bounds
             link.set_excess(conn.conn_id, share)
-            conn.rate = conn.qos.bounds.clamp(conn.b_min + share)
-        return shares
+            conn.rate = bounds.clamp(bounds.b_min + share)
+        return dict(zip(ids, shares))
 
     def refresh_static_states(self) -> None:
         """Re-run the static/mobile test and react to flips.

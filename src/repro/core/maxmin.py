@@ -10,6 +10,13 @@ This module implements the textbook progressive-filling algorithm as the
 :mod:`repro.core.adaptation` must converge to the same allocation (Theorem 1),
 which the test suite verifies.
 
+:func:`fill_single_link` is the same filling for one link, the shape of
+every cell rebalance in :mod:`repro.core.manager`.  It runs the reference's
+float operations in the same order and emits the same ``maxmin.round``
+records, over plain lists and without a :class:`MaxMinProblem`; the tests
+check it against :func:`maxmin_allocation`, which stays the multi-link
+reference.
+
 All quantities here are **excess** bandwidth, i.e. beyond the guaranteed
 ``b_min`` floors: a connection's demand is ``b_max - b_min`` (infinite for
 unbounded demands) and a link's capacity is ``b'_av,l = C_l - b_resv,l -
@@ -53,14 +60,14 @@ class MaxMinProblem:
     paths: Dict[Hashable, List[Hashable]] = field(default_factory=dict)
 
     def add_link(self, link_id: Hashable, capacity: float) -> None:
-        if capacity < 0:
+        if not (capacity >= 0):
             raise ValueError(f"excess capacity must be >= 0, got {capacity}")
         self.capacities[link_id] = float(capacity)
 
     def add_connection(
         self, conn_id: Hashable, path: Sequence[Hashable], demand: float = float("inf")
     ) -> None:
-        if demand < 0:
+        if not (demand >= 0):
             raise ValueError(f"demand must be >= 0, got {demand}")
         missing = [link for link in path if link not in self.capacities]
         if missing:
@@ -139,6 +146,58 @@ def maxmin_allocation(problem: MaxMinProblem) -> Dict[Hashable, float]:
         active -= frozen
 
     return allocation
+
+
+def fill_single_link(
+    capacity: float, ids: Sequence[Hashable], demands: Sequence[float]
+) -> List[float]:
+    """:func:`maxmin_allocation` of one link crossed by every connection.
+
+    ``ids[i]`` demands ``demands[i]`` of the excess ``capacity``; the shares
+    come back in input order.  Each round makes the reference's float
+    operations: its per-link load is the number of active connections, so
+    the remaining excess loses the increment once per active connection,
+    and each share gains it once.  Only the order of those updates and of
+    the records' ``frozen`` lists differs, and neither moves a bit: each
+    update touches its own share or subtracts the same increment from the
+    one total, and ``min`` over the active gaps (all above ``_EPS``, none
+    NaN) is the same value in any order.
+    """
+    shares = [0.0] * len(demands)
+    active = [i for i, demand in enumerate(demands) if demand > _EPS]
+    remaining = capacity
+    tracer = get_tracer()
+    round_index = 0
+    while active:
+        increment = max(
+            min(remaining / len(active), min(demands[i] - shares[i] for i in active)),
+            0.0,
+        )
+        for i in active:
+            shares[i] += increment
+            remaining -= increment
+
+        saturated = remaining <= _EPS
+        frozen: List[int] = []
+        unfrozen: List[int] = []
+        for i in active:
+            if saturated or shares[i] >= demands[i] - _EPS:
+                frozen.append(i)
+            else:
+                unfrozen.append(i)
+        round_index += 1
+        if tracer is not None:
+            tracer.emit(
+                "maxmin.round",
+                round=round_index,
+                increment=increment,
+                active=len(active),
+                frozen=[str(c) for c in sorted((ids[i] for i in frozen), key=repr)],
+            )
+        if not frozen:
+            break
+        active = unfrozen
+    return shares
 
 
 def is_maxmin_fair(

@@ -30,9 +30,9 @@ class QoSBounds:
     b_max: float
 
     def __post_init__(self):
-        if self.b_min <= 0:
+        if not (self.b_min > 0):
             raise ValueError(f"b_min must be positive, got {self.b_min}")
-        if self.b_max < self.b_min:
+        if not (self.b_max >= self.b_min):
             raise ValueError(
                 f"b_max ({self.b_max}) must be >= b_min ({self.b_min})"
             )

@@ -113,7 +113,7 @@ class CellReservations:
         A zero amount removes the entry (sparse ledger: zero reservations
         are never stored).
         """
-        if amount < 0:
+        if not (amount >= 0):
             raise ValueError(f"amount must be non-negative, got {amount}")
         if amount == 0.0:
             if self._targeted.pop(portable_id, None) is None:
@@ -161,7 +161,7 @@ class CellReservations:
 
     def reserve_aggregate(self, tag: Hashable, amount: float) -> None:
         """Set the anonymous pool booked under ``tag`` (0 removes it)."""
-        if amount < 0:
+        if not (amount >= 0):
             raise ValueError(f"amount must be non-negative, got {amount}")
         if amount == 0:
             if self._aggregate.pop(tag, None) is None:
@@ -185,7 +185,7 @@ class CellReservations:
 
         Returns how much was actually drawn.
         """
-        if amount < 0:
+        if not (amount >= 0):
             raise ValueError(f"amount must be non-negative, got {amount}")
         available = self._aggregate.get(tag)
         if available is None:
@@ -221,7 +221,7 @@ class CellReservations:
         allocated bandwidth among static portables residing in neighboring
         cells (their sudden movement arrives without advance reservation).
         """
-        if max_static_rate < 0:
+        if not (max_static_rate >= 0):
             raise ValueError(
                 f"max_static_rate must be non-negative, got {max_static_rate}"
             )
@@ -234,7 +234,7 @@ class CellReservations:
         should restore it via :meth:`set_pool` when capacity frees up.
         Returns the amount actually drawn.
         """
-        if amount < 0:
+        if not (amount >= 0):
             raise ValueError(f"amount must be non-negative, got {amount}")
         drawn = min(self._pool, amount)
         if drawn != 0.0:

@@ -23,7 +23,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .project import FunctionInfo, ModuleInfo, ProjectIndex, Symbol
+from .project import FunctionInfo, ModuleInfo, ProjectIndex
 
 __all__ = ["CallEdge", "CallGraph", "PluginRegistration"]
 

@@ -57,7 +57,7 @@ class Link:
         error_prob: float = 0.0,
         buffer_capacity: float = float("inf"),
     ):
-        if capacity <= 0:
+        if not (capacity > 0):
             raise ValueError(f"link capacity must be positive, got {capacity}")
         if not 0.0 <= error_prob < 1.0:
             raise ValueError(f"error_prob must be in [0, 1), got {error_prob}")
@@ -158,7 +158,7 @@ class Link:
         """Register a connection with guaranteed floor ``minimum``."""
         if conn_id in self.allocations:
             raise KeyError(f"connection {conn_id!r} already on link {self.key}")
-        if minimum < 0 or excess < 0:
+        if not (minimum >= 0 and excess >= 0):
             raise ValueError("bandwidth shares must be non-negative")
         self.allocations[conn_id] = LinkAllocation(minimum=minimum, excess=excess)
 
@@ -173,7 +173,7 @@ class Link:
 
     def set_excess(self, conn_id: Hashable, excess: float) -> None:
         """Update a connection's excess share (adaptation outcome)."""
-        if excess < -1e-12:
+        if not (excess >= -1e-12):
             raise ValueError(f"excess must be non-negative, got {excess}")
         self.allocations[conn_id].excess = max(0.0, excess)
 
@@ -194,7 +194,7 @@ class Link:
 
     def reserve_buffer(self, conn_id: Hashable, amount: float) -> None:
         """Set (or replace) the buffer reservation for a connection."""
-        if amount < 0:
+        if not (amount >= 0):
             raise ValueError(f"buffer amount must be non-negative, got {amount}")
         self.buffers[conn_id] = amount
 
@@ -206,13 +206,13 @@ class Link:
 
     def reserve(self, amount: float) -> None:
         """Increase the advance-reserved share ``b_resv,l``."""
-        if amount < 0:
+        if not (amount >= 0):
             raise ValueError(f"reserve amount must be non-negative, got {amount}")
         self.reserved += amount
 
     def unreserve(self, amount: float) -> None:
         """Decrease the advance-reserved share (clamped at zero)."""
-        if amount < 0:
+        if not (amount >= 0):
             raise ValueError(f"unreserve amount must be non-negative, got {amount}")
         self.reserved = max(0.0, self.reserved - amount)
 

@@ -6,6 +6,7 @@ from repro.core import CellularResourceManager, audio_request, video_request
 from repro.core.maxmin import MaxMinProblem, maxmin_allocation
 from repro.core.qos import QoSRequest
 from repro.des import Environment
+from repro.obs import RingBufferSink, Tracer, use_tracer
 from repro.profiles import CellClass
 from repro.traffic import ConnectionState, FlowSpec
 from repro.wireless import Cell, Portable
@@ -214,13 +215,35 @@ def test_renegotiate_rejects_best_effort_target():
         )
 
 
+@pytest.mark.parametrize("bound", ["b_min", "b_max"])
+def test_nan_bandwidth_is_refused_before_it_reaches_admission(bound):
+    """A NaN floor admitted on a link makes its excess NaN, after which the
+    admission test ``b_min > excess + 1e-9`` passes every request; a NaN
+    ``b_max`` makes a static owner's rate NaN.  Both now fail when the
+    bounds are built, and admission keeps blocking at capacity."""
+    env, cells, manager = build(capacity=1600.0)
+    p = Portable("p")
+    manager.attach_portable(p, "A")
+    with pytest.raises(ValueError):
+        manager.request_connection(p, audio_request(**{bound: float("nan")}))
+    floors = [
+        manager.request_connection(p, audio_request(b_min=600.0, b_max=600.0))
+        for _ in range(10)
+    ]
+    assert sum(conn is not None for conn in floors) == 2
+    assert cells["A"].link.allocated == 1200.0
+
+
 def test_zero_demand_rebalance_matches_the_maxmin_reference():
-    """Where no connection wants excess, ``rebalance`` skips the max-min
-    solver; its shares (order included), ledger writes and rates must still
-    equal the solver's, and each owner must still get the static test,
-    whose ``on_static`` callback fires on that path too."""
+    """``rebalance`` fills its one link without building a ``MaxMinProblem``;
+    its shares (order included), ``maxmin.round`` records, ledger writes and
+    rates must equal the reference solver's.  The cells cover no wanted
+    excess, static owners whose summed span exceeds the excess (one
+    saturating round), unequal spans that fit (two rounds) and unequal spans
+    that saturate.  Each owner must still get the static test, whose
+    ``on_static`` callback fires where no excess is wanted too."""
     env = Environment()
-    names = ("empty", "mobile", "fixed", "adaptive")
+    names = ("empty", "mobile", "fixed", "saturating", "multi-round", "adaptive")
     cells = {
         name: Cell(name, capacity=400.0, cell_class=CellClass.OFFICE)
         for name in names
@@ -235,43 +258,63 @@ def test_zero_demand_rebalance_matches_the_maxmin_reference():
 
     fixed = (audio_request(b_min=16.0, b_max=16.0), audio_request(b_min=32.0, b_max=32.0))
     connect("static-fixed", "fixed", *fixed)
+    connect("static-saturating", "saturating", video_request(), video_request())
+    connect("static-multi-round", "multi-round", audio_request(), audio_request(b_max=100.0))
     connect("static-adaptive", "adaptive", audio_request(), video_request())
     env.run(until=150.0)
     connect("mobile", "mobile", audio_request(), video_request())
     fired = []
     manager.statmob.on_static = lambda pid, now: fired.append(pid)
 
+    def traced(solve, *args):
+        tracer = Tracer(RingBufferSink(), kinds={"maxmin.round"})
+        with use_tracer(tracer):
+            result = solve(*args)
+        return result, tracer.sink.records()
+
     fired_after = {}
-    wanted_excess = {}
+    rounds = {}
+    saturated = {}
     for cell_id in names:
         link = cells[cell_id].link
         conns = [manager.connections[conn_id] for conn_id in link.allocations]
         for conn in conns:  # stale values the rebalance must overwrite
             link.set_excess(conn.conn_id, 5.0)
             conn.rate = -1.0
-        shares = manager.rebalance(cell_id)
+        shares, records = traced(manager.rebalance, cell_id)
         fired_after[cell_id] = list(fired)
 
+        capacity = max(0.0, link.excess_available)
         problem = MaxMinProblem()
-        problem.add_link(cell_id, max(0.0, link.excess_available))
+        problem.add_link(cell_id, capacity)
         for conn in conns:
             static = manager.statmob.is_static(conn.portable_id, env.now)
             demand = conn.qos.bounds.span if static else 0.0
             problem.add_connection(conn.conn_id, [cell_id], demand)
-        expected = maxmin_allocation(problem)
+        expected, expected_records = traced(maxmin_allocation, problem)
         assert list(shares.items()) == list(expected.items())
+        assert records == expected_records
         for conn in conns:
             share = expected[conn.conn_id]
             assert link.allocations[conn.conn_id].excess == share
             assert conn.rate == conn.qos.bounds.clamp(conn.b_min + share)
-        wanted_excess[cell_id] = sum(problem.demands.values()) > 0.0
+        rounds[cell_id] = len(records)
+        saturated[cell_id] = sum(expected.values()) == pytest.approx(capacity)
 
-    assert wanted_excess == {
-        "empty": False, "mobile": False, "fixed": False, "adaptive": True,
+    assert rounds == {
+        "empty": 0, "mobile": 0, "fixed": 0,
+        "saturating": 1, "multi-round": 2, "adaptive": 2,
     }
+    assert [cell_id for cell_id in names if saturated[cell_id]] == [
+        "saturating", "adaptive",
+    ]
     assert fired_after == {
         "empty": [],
         "mobile": [],
         "fixed": ["static-fixed"],
-        "adaptive": ["static-fixed", "static-adaptive"],
+        "saturating": ["static-fixed", "static-saturating"],
+        "multi-round": ["static-fixed", "static-saturating", "static-multi-round"],
+        "adaptive": [
+            "static-fixed", "static-saturating", "static-multi-round", "static-adaptive",
+        ],
     }

@@ -83,6 +83,23 @@ def test_problem_validation():
         problem.add_connection("c", ["ghost"])
 
 
+@pytest.mark.parametrize(
+    "add",
+    [
+        lambda problem: problem.add_link("m", float("nan")),
+        lambda problem: problem.add_connection("c", ["l"], demand=float("nan")),
+    ],
+    ids=["add_link", "add_connection"],
+)
+def test_problem_rejects_nan(add):
+    problem = MaxMinProblem()
+    problem.add_link("l", 10.0)
+    with pytest.raises(ValueError):
+        add(problem)
+    assert problem.capacities == {"l": 10.0}
+    assert problem.demands == {}
+
+
 def test_certificate_accepts_optimal_rejects_suboptimal():
     problem = single_link_problem(90.0, [float("inf")] * 3)
     optimal = maxmin_allocation(problem)

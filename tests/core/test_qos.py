@@ -11,6 +11,16 @@ def test_bounds_validation():
         QoSBounds(0.0, 10.0)
     with pytest.raises(ValueError):
         QoSBounds(10.0, 5.0)
+    assert QoSBounds(16.0, float("inf")).span == float("inf")  # unbounded b_max
+
+
+@pytest.mark.parametrize(
+    "b_min, b_max",
+    [(float("nan"), 64.0), (16.0, float("nan")), (float("nan"), float("nan"))],
+)
+def test_bounds_reject_nan(b_min, b_max):
+    with pytest.raises(ValueError):
+        QoSBounds(b_min, b_max)
 
 
 def test_bounds_span_and_fixed():

@@ -88,6 +88,24 @@ def test_total_combines_all_categories():
     assert link.reserved == pytest.approx(45.0)
 
 
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("reserve_for_portable", ("p",)),
+        ("reserve_aggregate", ("t",)),
+        ("draw_aggregate", ("t",)),
+        ("adapt_pool_for_static_neighbors", ()),
+        ("draw_pool", ()),
+    ],
+)
+def test_nan_amounts_rejected(method, args):
+    link, ledger = make()
+    ledger.reserve_aggregate("t", 10.0)
+    with pytest.raises(ValueError):
+        getattr(ledger, method)(*args, float("nan"))
+    assert link.reserved == pytest.approx(15.0)
+
+
 def test_negative_amounts_rejected():
     _, ledger = make()
     with pytest.raises(ValueError):

@@ -21,6 +21,34 @@ def test_constructor_validation():
         Link("a", "b", capacity=10, buffer_capacity=0)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda link: Link("a", "b", capacity=_NAN),
+        lambda link: link.admit("c1", _NAN),
+        lambda link: link.admit("c1", 10.0, excess=_NAN),
+        lambda link: link.set_excess("c0", _NAN),
+        lambda link: link.reserve(_NAN),
+        lambda link: link.unreserve(_NAN),
+        lambda link: link.reserve_buffer("c0", _NAN),
+    ],
+    ids=[
+        "capacity", "admit-minimum", "admit-excess", "set_excess", "reserve",
+        "unreserve", "reserve_buffer",
+    ],
+)
+def test_bandwidth_guards_reject_nan(link, call):
+    link.admit("c0", 10.0)
+    with pytest.raises(ValueError):
+        call(link)
+    assert link.allocated == 10.0
+    assert link.reserved == 0.0
+    assert link.buffer_committed == 0.0
+
+
 def test_key_is_endpoint_pair(link):
     assert link.key == ("a", "b")
 

@@ -14,8 +14,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 from repro.__main__ import main
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer, use_registry, use_tracer
 from repro.runtime import ExperimentRunner

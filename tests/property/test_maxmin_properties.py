@@ -8,7 +8,9 @@ Randomized instances check the paper's Section 5.2 contract directly:
 * optimality — the allocation satisfies the max-min certificate (every
   unsatisfied connection has a saturated bottleneck link on which nobody
   receives more), i.e. no allocation can be raised without lowering an
-  equal-or-smaller one.
+  equal-or-smaller one;
+* replay — on one link, ``fill_single_link`` (what every cell rebalance
+  runs) gives the reference's shares and ``maxmin.round`` records exactly.
 """
 
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import MaxMinProblem, maxmin_allocation
 from repro.core.adaptation import compute_advertised_rate
-from repro.core.maxmin import is_maxmin_fair
+from repro.core.maxmin import _EPS, fill_single_link, is_maxmin_fair
+from repro.obs import RingBufferSink, Tracer, use_tracer
 
 _TOL = 1e-6
 
@@ -105,6 +108,48 @@ def test_absolute_rates_stay_within_qos_bounds(case):
         absolute = b_min + allocation[f"conn-{i}"]
         assert absolute >= b_min - _TOL
         assert absolute <= b_max + _TOL
+
+
+@st.composite
+def single_link_problems(draw):
+    """0-12 connections on one link.  Ids mix strings and ints, so ``repr``
+    order differs from input order; demands and capacities mix the freezing
+    thresholds around ``_EPS`` with ordinary values."""
+    ids = draw(
+        st.lists(
+            st.one_of(st.text(max_size=3), st.integers(-20, 20)),
+            max_size=12,
+            unique=True,
+        )
+    )
+    demand = st.one_of(
+        st.sampled_from([0.0, 1e-12, _EPS, 2 * _EPS, float("inf")]),
+        st.floats(0.0, 1e4),
+    )
+    demands = [draw(demand) for _ in ids]
+    capacity = draw(st.one_of(st.sampled_from([0.0, 1e-10]), st.floats(0.0, 1e5)))
+    return capacity, ids, demands
+
+
+def _traced(solve, *args):
+    tracer = Tracer(RingBufferSink(), kinds={"maxmin.round"})
+    with use_tracer(tracer):
+        result = solve(*args)
+    return result, tracer.sink.records()
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_link_problems())
+def test_single_link_fill_replays_the_reference(case):
+    capacity, ids, demands = case
+    problem = MaxMinProblem()
+    problem.add_link("cell", capacity)
+    for conn_id, demand in zip(ids, demands):
+        problem.add_connection(conn_id, ["cell"], demand)
+    expected, expected_records = _traced(maxmin_allocation, problem)
+    shares, records = _traced(fill_single_link, capacity, ids, demands)
+    assert shares == [expected[conn_id] for conn_id in ids]
+    assert records == expected_records
 
 
 # -- advertised-rate rule (Section 5.3.1) -----------------------------------

@@ -6,7 +6,8 @@ advance reservations must fit the capacity (``min_committed + reserved <=
 capacity``), and the excess handed out on top must fit what they leave
 (``unassigned >= 0``).  The manager's entry points are wrapped for a whole
 office week and a whole campus day, and the cells are checked after every
-call.
+call.  Each rebalance is also replayed on the multi-link reference solver,
+``maxmin_allocation``, from the same cell state.
 """
 
 import functools
@@ -15,7 +16,9 @@ from collections import Counter
 import pytest
 
 from repro.core.manager import CellularResourceManager
+from repro.core.maxmin import _EPS, MaxMinProblem, maxmin_allocation
 from repro.sim.scenarios import run_campus_day, run_office_week
+from repro.traffic import ConnectionState
 
 _TOL = 1e-9
 
@@ -37,9 +40,16 @@ class _Watch:
         #: (method, cell, unassigned) below -_TOL on any cell after an
         #: admission, a handoff wave or a maintenance pass.
         self.over_committed = []
+        #: (cell, what differed) where a rebalance left other shares,
+        #: excesses or rates than the reference solver gives.
+        self.reference_mismatches = []
+        #: Rebalances compared in which some connection wanted excess.
+        self.positive_demand_rebalances = 0
 
-    def check(self, name, manager, args):
+    def check(self, name, manager, args, result):
         self.calls[name] += 1
+        if name == "rebalance":
+            self.compare_with_reference(manager, args[0], result)
         for cell_id, cell in manager.cells.items():
             link = cell.link
             over = link.min_committed + link.reserved - link.capacity
@@ -53,6 +63,36 @@ class _Watch:
             elif cell_id == args[0]:
                 self.rebalanced_over_committed.append((cell_id, unassigned))
 
+    def compare_with_reference(self, manager, cell_id, shares):
+        """Solve the cell's rebalance as a ``MaxMinProblem`` and compare."""
+        link = manager.cells[cell_id].link
+        now = manager.env.now
+        problem = MaxMinProblem()
+        problem.add_link(cell_id, max(0.0, link.excess_available))
+        conns = []
+        for conn_id in link.allocations:
+            conn = manager.connections.get(conn_id)
+            if conn is None or conn.state is not ConnectionState.ACTIVE:
+                continue
+            bounds = conn.qos.bounds
+            if bounds is None:
+                continue
+            static = manager.statmob.is_static(conn.portable_id, now)
+            problem.add_connection(conn_id, [cell_id], bounds.span if static else 0.0)
+            conns.append(conn)
+        if any(demand > _EPS for demand in problem.demands.values()):
+            self.positive_demand_rebalances += 1
+        expected = maxmin_allocation(problem)
+        if list(shares.items()) != list(expected.items()):
+            self.reference_mismatches.append((cell_id, "shares"))
+        for conn in conns:
+            share = expected[conn.conn_id]
+            bounds = conn.qos.bounds
+            if link.allocations[conn.conn_id].excess != share:
+                self.reference_mismatches.append((cell_id, f"{conn.conn_id} excess"))
+            if conn.rate != bounds.clamp(bounds.b_min + share):
+                self.reference_mismatches.append((cell_id, f"{conn.conn_id} rate"))
+
 
 def _run_watched(monkeypatch, scenario):
     watch = _Watch()
@@ -63,7 +103,7 @@ def _run_watched(monkeypatch, scenario):
         @functools.wraps(original)
         def watched(self, *args, **kwargs):
             result = original(self, *args, **kwargs)
-            watch.check(name, self, args)
+            watch.check(name, self, args, result)
             return result
 
         monkeypatch.setattr(CellularResourceManager, name, watched)
@@ -101,6 +141,19 @@ def test_floors_fit_and_rebalanced_cells_stay_within_capacity(
     assert watch.calls["rebalance"] == rebalances
     assert watch.overbooked == []
     assert watch.rebalanced_over_committed == []
+
+
+@pytest.mark.parametrize(
+    "scenario, compared",
+    [("office-week", 5_065), ("campus-day", 855)],
+)
+def test_every_rebalance_equals_the_maxmin_reference(watched, scenario, compared):
+    """The single-link fill gives the reference's shares, in link order, and
+    writes the matching excesses and rates.  The campus day's fills include
+    two-round and saturating ones."""
+    watch = watched(scenario)
+    assert watch.reference_mismatches == []
+    assert watch.positive_demand_rebalances == compared
 
 
 @pytest.mark.parametrize(
