@@ -6,7 +6,6 @@ Usage::
     python -m repro table2               # run one experiment, print it
     python -m repro figure5
     python -m repro --jobs 4 figure6     # parallel sweep execution
-    python -m repro figure4 --backend distributed --nodes 4  # multi-node sweep
     python -m repro all                  # run everything (slow)
     python -m repro campus --portables 100000   # campus-scale stress run
     python -m repro cache stats          # inspect the result cache
@@ -19,13 +18,14 @@ Usage::
     python -m repro trace spans spans.jsonl.gz      # render the span tree
     python -m repro --profile prof.pstats.gz table2 # profile the workers
     python -m repro trace profile prof.pstats.gz    # aggregated hotspots
-    python -m repro monitor RUN_DIR --follow        # watch a distributed run
 
 Sweep-style experiments dispatch through
 :class:`repro.runtime.ExperimentRunner`; ``--jobs N`` (or the
 ``REPRO_JOBS`` environment variable) fans replications out over a process
 pool, and ``--cache`` persists per-config results under
-``benchmarks/.cache/`` so re-runs only simulate new points.  Results are
+``benchmarks/.cache/`` so re-runs only simulate new points.  Each
+replication is cached as it settles, so re-running an interrupted sweep
+with ``--cache`` recomputes only what it had not finished.  Results are
 bit-identical regardless of the worker count.
 
 Fault tolerance: ``--max-retries N`` re-attempts failing replications
@@ -44,11 +44,10 @@ merges the snapshots deterministically, so observed output is identical
 at any worker count.
 
 Runtime observability: ``--spans PATH`` records hierarchical wall-clock
-spans (sweep → node → chunk → replication → attempt) whose *structure*
-is byte-identical at any ``--jobs``/``--nodes`` placement, and
-``--profile PATH`` runs every replication under cProfile and aggregates
-the stats deterministically across workers and nodes.  ``python -m
-repro monitor RUN_DIR`` watches a distributed run directory live.
+spans (sweep → replication → attempt) whose *structure* is
+byte-identical at any ``--jobs``, and ``--profile PATH`` runs every
+replication under cProfile and aggregates the stats deterministically
+across workers.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ def _add_des_core_flag(parser: argparse.ArgumentParser) -> None:
 
 def _apply_des_core(args: argparse.Namespace) -> None:
     """Publish ``--des-core`` through ``REPRO_DES_NATIVE`` so every
-    ``make_environment()`` — in this process, pool workers, and
-    distributed node workers alike — sees the same selection."""
+    ``make_environment()`` — in this process and in pool workers alike —
+    sees the same selection."""
     if getattr(args, "des_core", None) is not None:
         from .des import NATIVE_ENV
 
@@ -305,18 +304,6 @@ def _campus_main(argv: List[str]) -> int:
         "default: $REPRO_JOBS, else 1)",
     )
     parser.add_argument(
-        "--backend", choices=("serial", "process", "distributed"), default=None,
-        help="execution backend (default: serial for --jobs 1, else process)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=2, metavar="N",
-        help="node workers for --backend distributed (default 2)",
-    )
-    parser.add_argument(
-        "--node-jobs", default=1, metavar="N",
-        help="worker processes inside each distributed node (default 1)",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print run telemetry (wall times, in-worker DES events/sec, "
         "active kernel core)",
@@ -329,12 +316,7 @@ def _campus_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     _apply_des_core(args)
 
-    runner = ExperimentRunner(
-        jobs=args.jobs,
-        backend=args.backend,
-        nodes=args.nodes,
-        node_jobs=args.node_jobs,
-    )
+    runner = ExperimentRunner(jobs=args.jobs)
     configs = [
         {
             "seed": args.seed + i,
@@ -459,10 +441,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _campus_main(argv[1:])
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
-    if argv and argv[0] == "monitor":
-        from .obs.monitor import main as monitor_main
-
-        return monitor_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -479,20 +457,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs", "-j", default=None, metavar="N",
         help="worker processes for sweeps (0 or 'auto' = all cores; "
         "default: $REPRO_JOBS, else 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=("serial", "process", "distributed"), default=None,
-        help="execution backend (default: serial for --jobs 1, else process; "
-        "'distributed' shards sweeps across --nodes node workers with "
-        "resumable job manifests — see docs/DISTRIBUTED.md)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=2, metavar="N",
-        help="node workers for --backend distributed (default 2)",
-    )
-    parser.add_argument(
-        "--node-jobs", default=1, metavar="N",
-        help="worker processes inside each distributed node (default 1)",
     )
     parser.add_argument(
         "--cache", action="store_true",
@@ -526,9 +490,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--spans", default=None, metavar="PATH",
-        help="record hierarchical runtime spans (sweep → node → chunk → "
-        "replication → attempt) to a JSONL file ('.gz' compresses); span "
-        "structure is identical at any --jobs/--nodes placement",
+        help="record hierarchical runtime spans (sweep → replication → "
+        "attempt) to a JSONL file ('.gz' compresses); span structure is "
+        "identical at any --jobs",
     )
     parser.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -556,9 +520,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     runner = ExperimentRunner(
         jobs=args.jobs,
-        backend=args.backend,
-        nodes=args.nodes,
-        node_jobs=args.node_jobs,
         cache=ResultCache() if args.cache else None,
         max_retries=args.max_retries,
         timeout=args.timeout,

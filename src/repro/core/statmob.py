@@ -35,7 +35,7 @@ class StaticMobileClassifier:
         on_static: Optional[Callable[[Hashable, float], None]] = None,
         on_mobile: Optional[Callable[[Hashable, float], None]] = None,
     ):
-        if threshold <= 0:
+        if not (threshold > 0):
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.threshold = threshold
         self.on_static = on_static

@@ -61,9 +61,9 @@ class Link:
             raise ValueError(f"link capacity must be positive, got {capacity}")
         if not 0.0 <= error_prob < 1.0:
             raise ValueError(f"error_prob must be in [0, 1), got {error_prob}")
-        if prop_delay < 0:
+        if not (prop_delay >= 0):
             raise ValueError(f"prop_delay must be non-negative, got {prop_delay}")
-        if buffer_capacity <= 0:
+        if not (buffer_capacity > 0):
             raise ValueError(
                 f"buffer_capacity must be positive, got {buffer_capacity}"
             )

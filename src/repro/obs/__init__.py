@@ -18,12 +18,10 @@ Three legs, all free when off and structured when on:
 Two more legs cover the runtime itself rather than the simulation:
 
 * :mod:`repro.obs.spans` — hierarchical wall-clock spans over sweep →
-  node → chunk → replication → attempt, with a placement-independent
-  canonical structure (``--spans``, ``python -m repro trace spans``).
+  replication → attempt, with a placement-independent canonical
+  structure (``--spans``, ``python -m repro trace spans``).
 * :mod:`repro.obs.profiling` — deterministic cProfile aggregation across
-  workers and nodes (``--profile``, ``python -m repro trace profile``).
-* :mod:`repro.obs.monitor` — live view over a distributed run directory's
-  heartbeat files (``python -m repro monitor RUN_DIR``).
+  workers (``--profile``, ``python -m repro trace profile``).
 
 Invariant: observability *reads* simulation state and never perturbs RNG
 draws or event order, so enabling any of it leaves experiment outputs

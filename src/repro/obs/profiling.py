@@ -1,10 +1,10 @@
-"""Deterministic cProfile aggregation across workers and nodes.
+"""Deterministic cProfile aggregation across workers.
 
 ``--profile`` runs each replication under :mod:`cProfile` *inside the
 worker* and ships the raw stats dict back with the replication's
 observation snapshot — the same channel traces and metrics already use,
 so the coordinator folds profiles in submission order regardless of how
-the work was placed (serial, process pool, or distributed nodes).  Two
+the work was placed (serial or any process pool).  Two
 runs of the same sweep therefore aggregate the same call sites with the
 same call counts; only the timings differ.
 

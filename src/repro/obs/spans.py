@@ -3,23 +3,15 @@
 Where :mod:`repro.obs.trace` records what happens *inside* a simulation
 (sim-time-stamped domain events), spans record where *wall-clock* time
 goes while the runtime executes a sweep: one span per sweep, per
-replication, per retry attempt — and, when the distributed backend is
-active, per node round and per chunk.  Every span carries a parent id,
-a monotonic-clock duration, a status, and a small attribute dict, so a
+replication, and per retry attempt.  Every span carries a parent id, a
+monotonic-clock duration, a status, and a small attribute dict, so a
 finished run renders as a tree (``python -m repro trace spans``).
 
-Spans split into two families:
-
-* **structural** spans (``sweep`` → ``replication`` → ``attempt``)
-  describe the logical work.  Their ids derive from submission indices
-  and attempt counters only, so the structural projection
-  (:func:`canonical_structure`) is byte-identical across serial,
-  ``--jobs N``, and ``--backend distributed --nodes N`` for the same
-  config + seed — the same guarantee the trace/metrics layers make.
-* **topology** spans (``node``, ``chunk``) describe how the work was
-  physically placed.  They exist only where the placement exists (a
-  serial run has no chunks) and are excluded from the canonical
-  projection.
+Span ids derive from submission indices and attempt counters only, so
+the structural projection (:func:`canonical_structure`) is
+byte-identical across serial, ``--jobs N`` and supervised execution of
+the same config + seed — the same guarantee the trace/metrics layers
+make.
 
 Collection is opt-in and process-wide, mirroring the tracer:
 :func:`set_span_collector` installs a collector that the runner backends
@@ -40,23 +32,17 @@ from .trace import open_text
 
 __all__ = [
     "KIND_ATTEMPT",
-    "KIND_CHUNK",
-    "KIND_NODE",
     "KIND_REPLICATION",
     "KIND_SWEEP",
     "STRUCTURAL_KINDS",
-    "TOPOLOGY_KINDS",
     "Span",
     "SpanCollector",
     "SpanLedger",
     "attempt_span_id",
     "canonical_structure",
-    "chunk_span_id",
     "format_span_tree",
     "get_span_collector",
-    "node_span_id",
     "read_spans_jsonl",
-    "rebase_span_record",
     "replication_span_id",
     "set_span_collector",
     "span_from_record",
@@ -69,15 +55,10 @@ __all__ = [
 KIND_SWEEP = "sweep"
 KIND_REPLICATION = "replication"
 KIND_ATTEMPT = "attempt"
-KIND_NODE = "node"
-KIND_CHUNK = "chunk"
 
 #: Kinds whose ids/parentage are placement-independent — the canonical
 #: structure projects exactly these.
 STRUCTURAL_KINDS = (KIND_SWEEP, KIND_REPLICATION, KIND_ATTEMPT)
-
-#: Kinds describing physical placement (distributed runs only).
-TOPOLOGY_KINDS = (KIND_NODE, KIND_CHUNK)
 
 #: A span serialized for JSONL transport — fixed key order, sorted attrs.
 SpanRecord = Dict[str, Any]
@@ -96,14 +77,6 @@ def replication_span_id(position: int) -> str:
 def attempt_span_id(position: int, attempt: int) -> str:
     """Span id for try number ``attempt`` (1-based) of a replication."""
     return f"rep-{position:05d}.a{attempt}"
-
-
-def chunk_span_id(chunk_id: int) -> str:
-    return f"chunk-{chunk_id:05d}"
-
-
-def node_span_id(node_id: int, round_: int) -> str:
-    return f"node-{node_id}.r{round_}"
 
 
 @dataclass
@@ -209,7 +182,7 @@ class SpanLedger:
     A ledger is created once per ``_execute`` call with the sweep span id
     as parent.  Backends report each try via :meth:`attempt` and the
     final outcome via :meth:`settle`; the ledger assembles the
-    replication span (status, total duration, attempt count) so the four
+    replication span (status, total duration, attempt count) so the three
     execution paths don't each reimplement the parentage rules.
     """
 
@@ -271,9 +244,8 @@ def canonical_structure(spans: List[Span]) -> bytes:
 
     Keeps only structural kinds, drops every timing field, sorts by
     (kind, span id), and appends per-kind counts.  Two runs of the same
-    sweep — serial, pooled, or distributed at any node count — must
-    produce byte-identical output; the identity tests compare exactly
-    these bytes.
+    sweep — serial, pooled, or supervised — must produce byte-identical
+    output; the identity tests compare exactly these bytes.
     """
     structural = [s for s in spans if s.kind in STRUCTURAL_KINDS]
     projected = sorted(
@@ -325,41 +297,6 @@ def read_spans_jsonl(path: str) -> List[Span]:
                 raise ValueError(f"{path}:{lineno}: not a span record")
             spans.append(span_from_record(record))
     return spans
-
-
-def rebase_span_record(
-    record: SpanRecord,
-    position_map: Dict[int, int],
-    sweep_parent: str,
-) -> SpanRecord:
-    """Translate a node-local span record into coordinator coordinates.
-
-    Node workers index replications by *manifest position*; the
-    coordinator's submission may be a cache-filtered subset, so
-    replication/attempt ids are rewritten through ``position_map``
-    (manifest position → submission index).  The replication parent is
-    always reset to ``sweep_parent`` — a resumed chunk carries spans
-    minted under the *first* submission's sweep id, and they must
-    re-parent under the current one so the merged tree stays connected.
-    """
-    out = dict(record)
-    out["attrs"] = dict(record.get("attrs", {}))
-    kind = record.get("kind")
-    if kind in (KIND_REPLICATION, KIND_ATTEMPT):
-        old_pos = out["attrs"].get("position")
-        if old_pos is not None and old_pos in position_map:
-            new_pos = position_map[old_pos]
-            old_rep = replication_span_id(old_pos)
-            new_rep = replication_span_id(new_pos)
-            out["attrs"]["position"] = new_pos
-            if isinstance(out.get("span"), str) and out["span"].startswith(old_rep):
-                out["span"] = new_rep + out["span"][len(old_rep):]
-            if isinstance(out.get("parent"), str) and out["parent"].startswith(old_rep):
-                out["parent"] = new_rep + out["parent"][len(old_rep):]
-        if kind == KIND_REPLICATION:
-            out["parent"] = sweep_parent
-            out["name"] = f"replication {out['attrs'].get('position')}"
-    return out
 
 
 def format_span_tree(spans: List[Span]) -> str:

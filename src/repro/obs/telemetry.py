@@ -57,17 +57,6 @@ class RunTelemetry:
     #: bit-identical, but it voids the perf numbers and hides a broken
     #: install — so folding a second distinct core into this ledger raises.
     des_cores: Dict[str, int] = field(default_factory=dict)
-    #: Node processes launched by the distributed backend (all rounds).
-    nodes: int = 0
-    #: Node relaunch rounds forced by crashed/hung nodes.
-    node_restarts: int = 0
-    #: Manifest chunks executed by nodes during this run.
-    chunks: int = 0
-    #: Manifest chunks whose results were adopted from a previous
-    #: submission's result files instead of being re-executed.
-    chunks_resumed: int = 0
-    #: Wall seconds each node round spent from launch to exit.
-    node_wall_times: List[float] = field(default_factory=list)
 
     # -- recording --------------------------------------------------------
 
@@ -165,11 +154,6 @@ class RunTelemetry:
         self.des_events += other.des_events
         if other.des_cores:
             self.record_core_events(other.des_cores)
-        self.nodes += other.nodes
-        self.node_restarts += other.node_restarts
-        self.chunks += other.chunks
-        self.chunks_resumed += other.chunks_resumed
-        self.node_wall_times.extend(other.node_wall_times)
         return self
 
     def to_dict(self) -> Dict[str, Any]:
@@ -194,13 +178,6 @@ class RunTelemetry:
                 "events_per_second": self.events_per_second,
                 "core": self.des_core,
                 "cores": dict(self.des_cores),
-            },
-            "distributed": {
-                "nodes": self.nodes,
-                "node_restarts": self.node_restarts,
-                "chunks": self.chunks,
-                "chunks_resumed": self.chunks_resumed,
-                "node_wall_total": sum(self.node_wall_times),
             },
             "wall_time": {
                 "elapsed": self.elapsed,
@@ -231,13 +208,6 @@ class RunTelemetry:
                 f"  cache:         {self.cache_hits} hits / "
                 f"{self.cache_misses} misses "
                 f"({self.cache_hit_rate * 100.0:.1f}% hit rate)"
-            )
-        if self.nodes:
-            lines.append(
-                f"  distributed:   {self.nodes} node launches, "
-                f"{self.chunks} chunks executed"
-                + (f", {self.chunks_resumed} resumed" if self.chunks_resumed else "")
-                + (f", {self.node_restarts} restarts" if self.node_restarts else "")
             )
         if self.trace_records or self.trace_dropped:
             lines.append(

@@ -59,10 +59,10 @@ TraceRecord = Dict[str, Any]
 def open_text(path: str, mode: str) -> IO[str]:
     """Open a text file, transparently gzipped when the path ends in ``.gz``.
 
-    Long distributed sweeps produce multi-gigabyte JSONL traces; every
-    reader in this layer (``read_jsonl``, the span file reader, the
-    ``trace`` CLI) and the :class:`JsonlSink` writer route through this so
-    ``.jsonl.gz`` works everywhere a ``.jsonl`` does.
+    Long sweeps produce multi-gigabyte JSONL traces; every reader in
+    this layer (``read_jsonl``, the span file reader, the ``trace`` CLI)
+    and the :class:`JsonlSink` writer route through this so ``.jsonl.gz``
+    works everywhere a ``.jsonl`` does.
     """
     if str(path).endswith(".gz"):
         return gzip.open(path, mode + "t", encoding="utf-8")  # type: ignore[return-value]

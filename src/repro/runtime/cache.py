@@ -179,9 +179,9 @@ class ResultCache:
                  version: int = CACHE_VERSION,
                  max_bytes: Optional[int] = None,
                  max_entries: Optional[int] = None):
-        if max_bytes is not None and max_bytes < 0:
+        if max_bytes is not None and not (max_bytes >= 0):
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        if max_entries is not None and max_entries < 0:
+        if max_entries is not None and not (max_entries >= 0):
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
         self.root = Path(root) if root is not None else default_cache_dir()
         self.version = version
@@ -221,7 +221,7 @@ class ResultCache:
             # but only if it is still the *same file* we opened: a
             # concurrent writer may have atomically republished a good
             # entry at this path since, and unlinking blindly would
-            # delete another node's live result.
+            # delete another process's live result.
             try:
                 if path.stat().st_ino == opened_ino:
                     path.unlink()
@@ -325,7 +325,7 @@ class ResultCache:
             # entry just before unlinking.  An mtime newer than our
             # snapshot means another process read (touched) or rewrote
             # the entry after we ranked it LRU — it is live now, so skip
-            # it rather than evict a neighbor node's working set.
+            # it rather than evict another process's working set.
             try:
                 current = entry.path.stat()
             except OSError:

@@ -28,7 +28,6 @@ Fault kinds
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -37,15 +36,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Tuple, Union
 
 from .cache import config_key
 
-__all__ = [
-    "FaultSpec",
-    "FaultInjector",
-    "InjectedFault",
-    "NodeFaultSpec",
-    "load_node_fault_plan",
-    "maybe_fire_node_fault",
-    "write_node_fault_plan",
-]
+__all__ = ["FaultSpec", "FaultInjector", "InjectedFault"]
 
 _KINDS = ("raise", "hang", "crash")
 
@@ -71,9 +62,9 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected one of {_KINDS}")
-        if self.attempts < 1:
+        if not (self.attempts >= 1):
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.hang_seconds < 0:
+        if not (self.hang_seconds >= 0):
             raise ValueError(f"hang_seconds must be >= 0, got {self.hang_seconds}")
 
 
@@ -156,101 +147,3 @@ class FaultInjector:
                     f"process (attempt {attempt}) for {config!r}"
                 )
         return self.fn(config)
-
-
-# -- node-level faults (distributed backend) ------------------------------
-
-_NODE_KINDS = ("kill", "hang")
-
-#: Fault-plan file the distributed node worker consults inside a run dir.
-NODE_FAULTS_FILENAME = "node-faults.json"
-
-#: Directory of one-shot markers: a fault that fired never fires again,
-#: so a re-sharded or resumed run makes progress instead of re-dying.
-_FIRED_DIRNAME = "node-faults.fired"
-
-
-@dataclass(frozen=True)
-class NodeFaultSpec:
-    """A scripted *node* fault: act once the node has completed
-    ``after_chunks`` chunks of its assignment.
-
-    ``"kill"`` hard-exits the node process (``os._exit``) so its remaining
-    chunks go missing mid-sweep — the coordinator must detect the crash
-    and re-shard.  ``"hang"`` sleeps ``hang_seconds`` between chunks; a
-    coordinator ``node_timeout`` must cancel the node.  Each spec fires at
-    most once per run directory (a marker file records the firing), so a
-    relaunched replacement node completes normally.
-    """
-
-    kind: str
-    after_chunks: int = 1
-    hang_seconds: float = 3600.0
-    exit_code: int = 137
-
-    def __post_init__(self) -> None:
-        if self.kind not in _NODE_KINDS:
-            raise ValueError(
-                f"unknown node fault kind {self.kind!r}; expected one of {_NODE_KINDS}"
-            )
-        if self.after_chunks < 0:
-            raise ValueError(f"after_chunks must be >= 0, got {self.after_chunks}")
-        if self.hang_seconds < 0:
-            raise ValueError(f"hang_seconds must be >= 0, got {self.hang_seconds}")
-
-
-def write_node_fault_plan(
-    run_dir: Union[str, Path], plan: Mapping[int, NodeFaultSpec]
-) -> Path:
-    """Serialize ``{node_id: spec}`` into ``run_dir`` for node workers."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    path = run_dir / NODE_FAULTS_FILENAME
-    payload = {
-        str(node_id): {
-            "kind": spec.kind,
-            "after_chunks": spec.after_chunks,
-            "hang_seconds": spec.hang_seconds,
-            "exit_code": spec.exit_code,
-        }
-        for node_id, spec in plan.items()
-    }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
-def load_node_fault_plan(run_dir: Union[str, Path]) -> Dict[int, NodeFaultSpec]:
-    """The node fault plan recorded in ``run_dir`` (empty when absent)."""
-    path = Path(run_dir) / NODE_FAULTS_FILENAME
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    return {int(node_id): NodeFaultSpec(**spec) for node_id, spec in raw.items()}
-
-
-def maybe_fire_node_fault(
-    run_dir: Union[str, Path], node_id: int, completed_chunks: int
-) -> None:
-    """Fire ``node_id``'s scripted fault if its trigger point is reached.
-
-    Called by the node worker after every completed chunk.  The one-shot
-    marker is claimed with ``O_CREAT | O_EXCL`` so exactly one node
-    process ever fires a given spec, even across relaunch rounds.
-    """
-    spec = load_node_fault_plan(run_dir).get(node_id)
-    if spec is None or completed_chunks < spec.after_chunks:
-        return
-    fired_dir = Path(run_dir) / _FIRED_DIRNAME
-    fired_dir.mkdir(parents=True, exist_ok=True)
-    marker = fired_dir / f"node-{node_id}"
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return  # already fired in an earlier round
-    os.close(fd)
-    if spec.kind == "kill":
-        os._exit(spec.exit_code)
-    time.sleep(spec.hang_seconds)

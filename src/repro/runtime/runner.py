@@ -6,7 +6,10 @@ picklable config and return one picklable result.  Submission order is
 preserved, worker exceptions surface as :class:`WorkerError` with the
 failing config attached, and an optional
 :class:`~repro.runtime.cache.ResultCache` short-circuits configs that were
-already simulated.
+already simulated.  Each replication reaches the cache the moment it
+settles, so a sweep whose process dies part-way leaves every finished
+replication on disk and a re-run with the same cache recomputes only the
+gap.
 
 Fault tolerance (opt-in, mirroring the paper's graceful-degradation theme:
 connections adapt inside ``[b_min, b_max]`` instead of failing hard, and so
@@ -23,7 +26,7 @@ should the harness that sweeps them):
   :class:`FailedResult` sentinel in their submission slot instead of
   aborting the whole sweep with :class:`WorkerError`.
 
-When any fault-tolerance option is active the process backend switches
+When any fault-tolerance option is active a ``jobs > 1`` runner switches
 from the chunked ``pool.map`` fast path to a supervised
 process-per-attempt scheme: each attempt runs in its own child with a
 private pipe, so crashes are attributed to the exact config, hangs are
@@ -82,10 +85,7 @@ from ..obs.telemetry import RunTelemetry
 from ..obs.trace import RingBufferSink, Tracer, get_tracer, replay_records, set_tracer
 
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from .cache import ResultCache
-    from .distributed import NodeTransport
 
 __all__ = [
     "JOBS_ENV",
@@ -429,21 +429,18 @@ def _reap(proc: multiprocessing.process.BaseProcess) -> None:
 class ExperimentRunner:
     """Executes batches of independent simulation configs.
 
+    ``jobs == 1`` runs in-process; ``jobs > 1`` runs a process pool, or
+    the supervised process-per-attempt scheme when a fault-tolerance
+    option is set.
+
     Parameters
     ----------
     jobs:
         Worker count (see :func:`resolve_jobs`); 1 means in-process serial.
-    backend:
-        ``"serial"``, ``"process"``, or ``"distributed"``; defaults to
-        ``"process"`` when ``jobs > 1``.  The distributed backend shards
-        each batch across ``nodes`` node-worker processes through a
-        content-hash-keyed job manifest (see
-        :mod:`repro.runtime.distributed`); results stay bit-identical to
-        serial execution and interrupted sweeps resume from their
-        completed chunk files.
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; hits skip
-        simulation entirely.  Failed sweep points are never cached.
+        simulation entirely.  Each successful replication is written as
+        it settles; failed sweep points are never cached.
     max_retries:
         Failed attempts allowed per config beyond the first (default 0:
         one attempt, fail hard — the pre-fault-tolerance behavior).
@@ -462,36 +459,8 @@ class ExperimentRunner:
         Run every replication under :mod:`cProfile` *in the worker*; the
         raw stats ride back with each observation snapshot and fold into
         :attr:`profile_stats` in submission order, so the aggregate is
-        deterministic at any ``--jobs``/``--nodes``
+        deterministic at any ``--jobs``
         (``python -m repro trace profile`` renders it).
-    on_progress:
-        Optional ``(RunTelemetry) -> None`` callback invoked after every
-        replication settles (success or final failure).  The distributed
-        node worker hooks this to publish heartbeat files; the callback
-        must not raise.
-    span_context:
-        Parent span id adopted instead of minting a ``sweep`` span.  Used
-        by in-node runners so distributed replication spans parent under
-        the coordinator's sweep; leave None otherwise.
-    nodes:
-        Node-worker count for the distributed backend (default 2).
-    node_jobs:
-        Worker processes *inside* each node (default 1; accepts the same
-        forms as ``jobs``).
-    run_root:
-        Directory holding distributed run directories (default
-        ``benchmarks/.distrun`` or ``$REPRO_DISTRIBUTED_DIR``).
-    node_timeout:
-        Seconds a node may go without publishing a new chunk file before
-        the coordinator cancels it and re-shards its missing chunks
-        (default None: wait forever).
-    max_node_restarts:
-        Re-shard rounds allowed after the first before the coordinator
-        gives up with :class:`~repro.runtime.distributed.DistributedRunError`
-        (the run directory is kept, so a re-submission resumes).
-    node_transport:
-        A :class:`~repro.runtime.distributed.NodeTransport` override; the
-        default launches local ``repro.runtime.node_worker`` subprocesses.
     sleep, clock:
         Injectable time sources (tests replace them to assert backoff
         schedules without real sleeping).
@@ -500,58 +469,28 @@ class ExperimentRunner:
     def __init__(
         self,
         jobs: Union[int, str, None] = None,
-        backend: Optional[str] = None,
         cache: Optional["ResultCache"] = None,
         max_retries: int = 0,
         retry_backoff: float = 0.0,
         timeout: Optional[float] = None,
         partial: bool = False,
         profile: bool = False,
-        on_progress: Optional[Callable[[RunTelemetry], None]] = None,
-        span_context: Optional[str] = None,
-        nodes: int = 2,
-        node_jobs: Union[int, str, None] = 1,
-        run_root: Union[str, "Path", None] = None,
-        node_timeout: Optional[float] = None,
-        max_node_restarts: int = 2,
-        node_transport: Optional["NodeTransport"] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.jobs = resolve_jobs(jobs)
-        if backend is None:
-            backend = "process" if self.jobs > 1 else "serial"
-        if backend not in ("serial", "process", "distributed"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if int(nodes) != nodes or nodes < 1:
-            raise ValueError(f"nodes must be an int >= 1, got {nodes!r}")
-        if node_timeout is not None and node_timeout <= 0:
-            raise ValueError(f"node_timeout must be > 0 seconds, got {node_timeout!r}")
-        if int(max_node_restarts) != max_node_restarts or max_node_restarts < 0:
-            raise ValueError(
-                f"max_node_restarts must be an int >= 0, got {max_node_restarts!r}"
-            )
         if int(max_retries) != max_retries or max_retries < 0:
             raise ValueError(f"max_retries must be an int >= 0, got {max_retries!r}")
-        if retry_backoff < 0:
+        if not (retry_backoff >= 0):
             raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff!r}")
-        if timeout is not None and timeout <= 0:
+        if timeout is not None and not (timeout > 0):
             raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
-        self.backend = backend
         self.cache = cache
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
         self.timeout = timeout
         self.partial = bool(partial)
         self.profile = bool(profile)
-        self.on_progress = on_progress
-        self.span_context = span_context
-        self.nodes = int(nodes)
-        self.node_jobs = resolve_jobs(node_jobs)
-        self.run_root = run_root
-        self.node_timeout = node_timeout
-        self.max_node_restarts = int(max_node_restarts)
-        self.node_transport = node_transport
         self._sleep = sleep
         self._clock = clock
         self._span_ledger: Optional[SpanLedger] = None
@@ -582,10 +521,9 @@ class ExperimentRunner:
         """Run ``fn(config)`` for every config, results in submission order.
 
         ``fn`` must be a module-level callable and each config picklable
-        when the process backend is active.  Under ``partial=True`` the
-        returned list may contain :class:`FailedResult` sentinels at the
-        submission indices of exhausted configs.  ``label`` is a
-        human-readable sweep name recorded in distributed job manifests
+        when ``jobs > 1``.  Under ``partial=True`` the returned list may
+        contain :class:`FailedResult` sentinels at the submission indices
+        of exhausted configs.  ``label`` names the batch's sweep span
         (experiment drivers pass their figure/table name).
         """
         configs = list(configs)
@@ -607,24 +545,18 @@ class ExperimentRunner:
             pending = missing
 
         # One sweep span roots this batch's replication spans.  The id
-        # derives from the batch counter alone (placement-independent);
-        # in-node runners adopt the coordinator's id via ``span_context``
-        # and emit no sweep span of their own.
+        # derives from the batch counter alone (placement-independent).
         collector = get_span_collector()
-        sweep_id = self.span_context or sweep_span_id(self.telemetry.batches - 1)
-        own_sweep = collector is not None and self.span_context is None
+        sweep_id = sweep_span_id(self.telemetry.batches - 1)
         sweep_status = "ok"
         try:
             if pending:
                 obs = self._obs_request()
                 computed = self._execute(
-                    fn, [configs[i] for i in pending], pending, obs,
-                    label=label, span_parent=sweep_id,
+                    fn, [configs[i] for i in pending], pending, obs, sweep_id
                 )
                 for i, (value, _snapshot) in zip(pending, computed):
                     results[i] = value
-                    if self.cache is not None and not isinstance(value, FailedResult):
-                        self.cache.put(fn, configs[i], value)
                 if obs is not None:
                     self._merge_observations(pending, computed)
         except BaseException:
@@ -633,8 +565,7 @@ class ExperimentRunner:
         finally:
             elapsed = time.perf_counter() - started
             self.telemetry.elapsed += elapsed
-            if own_sweep:
-                assert collector is not None
+            if collector is not None:
                 collector.emit(
                     Span(
                         span_id=sweep_id,
@@ -705,10 +636,26 @@ class ExperimentRunner:
             if snapshot.profile:
                 merge_profile_stats(self._profile_stats, snapshot.profile)
 
-    def _progress(self) -> None:
-        """Invoke the heartbeat callback after a replication settles."""
-        if self.on_progress is not None:
-            self.on_progress(self.telemetry)
+    def _settled(
+        self,
+        fn: Callable[[Any], Any],
+        config: Any,
+        index: int,
+        value: Any,
+        elapsed: float,
+        events: int,
+        cores: Dict[str, int],
+    ) -> None:
+        """Book one successful replication on every path: its spans, its
+        telemetry, then its cache entry, so an interrupted sweep keeps
+        everything that finished before the interruption."""
+        ledger = self._span_ledger
+        if ledger is not None:
+            ledger.attempt(index, "ok", elapsed)
+            ledger.settle(index, "ok")
+        self.telemetry.record_replication(elapsed, events, cores)
+        if self.cache is not None:
+            self.cache.put(fn, config, value)
 
     # -- backends ---------------------------------------------------------
 
@@ -718,24 +665,17 @@ class ExperimentRunner:
         configs: List[Any],
         indices: List[int],
         obs: Optional[ObsRequest],
-        label: Optional[str] = None,
-        span_parent: Optional[str] = None,
+        span_parent: str,
     ) -> List[Tuple[Any, Optional[ObsSnapshot]]]:
-        if self.backend == "distributed":
-            from .distributed import DistributedCoordinator
-
-            return DistributedCoordinator(self).execute(
-                fn, configs, indices, obs, label=label, span_parent=span_parent
-            )
         collector = get_span_collector()
-        if collector is not None and span_parent is not None:
+        if collector is not None:
             self._span_ledger = SpanLedger(collector, span_parent)
         try:
             if self.fault_tolerant:
-                if self.backend == "process":
+                if self.jobs > 1:
                     return self._run_supervised(fn, configs, indices, obs)
                 return self._run_serial(fn, configs, indices, obs)
-            if self.backend == "serial" or self.jobs == 1 or len(configs) <= 1:
+            if self.jobs == 1 or len(configs) <= 1:
                 return self._run_serial(fn, configs, indices, obs)
             return self._run_pool(fn, configs, indices, obs)
         finally:
@@ -755,6 +695,8 @@ class ExperimentRunner:
         out: List[Tuple[Any, Optional[ObsSnapshot]]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = [(fn, config, obs) for config in configs]
+            # ``pool.map`` yields in submission order, so a failure at
+            # position k leaves exactly positions 0..k-1 settled.
             for pos, (ok, value, elapsed, events, cores, snapshot) in enumerate(
                 pool.map(_call, payloads, chunksize=chunk)
             ):
@@ -764,14 +706,11 @@ class ExperimentRunner:
                     if ledger is not None:
                         ledger.attempt(indices[pos], "error", elapsed)
                         ledger.settle(indices[pos], "failed")
-                    self._progress()
                     raise WorkerError(configs[pos], indices[pos], exc, tb) from exc
                 out.append((value, snapshot))
-                if ledger is not None:
-                    ledger.attempt(indices[pos], "ok", elapsed)
-                    ledger.settle(indices[pos], "ok")
-                self.telemetry.record_replication(elapsed, events, cores)
-                self._progress()
+                self._settled(
+                    fn, configs[pos], indices[pos], value, elapsed, events, cores
+                )
         return out
 
     # -- serial and supervised paths --------------------------------------
@@ -846,7 +785,6 @@ class ExperimentRunner:
                     self.telemetry.failures += 1
                     if ledger is not None:
                         ledger.settle(index, "failed")
-                    self._progress()
                     if self.partial:
                         out.append((
                             FailedResult(config, index, attempts, repr(exc), tb),
@@ -857,16 +795,16 @@ class ExperimentRunner:
                         config, index, exc, tb, attempts=attempts
                     ) from exc
                 elapsed = time.perf_counter() - started
-                if ledger is not None:
-                    ledger.attempt(index, "ok", elapsed)
-                    ledger.settle(index, "ok")
                 out.append((result, snapshot))
-                self.telemetry.record_replication(
+                self._settled(
+                    fn,
+                    config,
+                    index,
+                    result,
                     elapsed,
                     events_processed_total() - events_before,
                     _des_core_delta(cores_before),
                 )
-                self._progress()
                 break
         return out
 
@@ -934,7 +872,6 @@ class ExperimentRunner:
             self.telemetry.failures += 1
             if ledger is not None:
                 ledger.settle(indices[pos], "failed")
-            self._progress()
             if self.partial:
                 results[pos] = (
                     FailedResult(
@@ -990,11 +927,10 @@ class ExperimentRunner:
                         if ok:
                             results[pos] = (payload, snapshot)
                             done += 1
-                            if ledger is not None:
-                                ledger.attempt(indices[pos], "ok", elapsed)
-                                ledger.settle(indices[pos], "ok")
-                            self.telemetry.record_replication(elapsed, events, cores)
-                            self._progress()
+                            self._settled(
+                                fn, configs[pos], indices[pos], payload,
+                                elapsed, events, cores,
+                            )
                         else:
                             cause, tb = payload
                             settle_failure(pos, cause, tb, elapsed)

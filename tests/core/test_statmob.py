@@ -8,6 +8,8 @@ from repro.core import PortableState, StaticMobileClassifier
 def test_threshold_validation():
     with pytest.raises(ValueError):
         StaticMobileClassifier(threshold=0.0)
+    with pytest.raises(ValueError):
+        StaticMobileClassifier(threshold=float("nan"))
 
 
 def test_new_portable_is_mobile():

@@ -316,7 +316,7 @@ def test_serial_and_pool_report_same_core(clean_env, core):
     assert serial.telemetry.des_core == core
     assert serial.telemetry.des_cores[core] == serial.telemetry.des_events > 0
 
-    pool = ExperimentRunner(jobs=2, backend="process")
+    pool = ExperimentRunner(jobs=2)
     pool.run_many(_sim_worker, [1, 2])
     assert pool.telemetry.des_core == core
     assert pool.telemetry.des_cores == serial.telemetry.des_cores

@@ -28,6 +28,8 @@ _NAN = float("nan")
     "call",
     [
         lambda link: Link("a", "b", capacity=_NAN),
+        lambda link: Link("a", "b", capacity=10, prop_delay=_NAN),
+        lambda link: Link("a", "b", capacity=10, buffer_capacity=_NAN),
         lambda link: link.admit("c1", _NAN),
         lambda link: link.admit("c1", 10.0, excess=_NAN),
         lambda link: link.set_excess("c0", _NAN),
@@ -36,8 +38,8 @@ _NAN = float("nan")
         lambda link: link.reserve_buffer("c0", _NAN),
     ],
     ids=[
-        "capacity", "admit-minimum", "admit-excess", "set_excess", "reserve",
-        "unreserve", "reserve_buffer",
+        "capacity", "prop_delay", "buffer_capacity", "admit-minimum",
+        "admit-excess", "set_excess", "reserve", "unreserve", "reserve_buffer",
     ],
 )
 def test_bandwidth_guards_reject_nan(link, call):

@@ -1,6 +1,11 @@
-"""Unit tests for the span model: ids, ledger lifecycle, canonical form."""
+"""Span model tests: ids, ledger lifecycle, canonical form, and the
+runner's span structure, which must not depend on placement."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -18,14 +23,13 @@ from repro.obs import (
 )
 from repro.obs.spans import (
     attempt_span_id,
-    chunk_span_id,
-    node_span_id,
-    rebase_span_record,
     replication_span_id,
     span_from_record,
     span_to_record,
     sweep_span_id,
 )
+from repro.runtime import ExperimentRunner
+from repro.runtime.cache import config_key
 
 
 # -- ids --------------------------------------------------------------------
@@ -35,8 +39,6 @@ def test_span_id_formats():
     assert sweep_span_id(0) == "sweep-000"
     assert replication_span_id(7) == "rep-00007"
     assert attempt_span_id(7, 2) == "rep-00007.a2"
-    assert chunk_span_id(3) == "chunk-00003"
-    assert node_span_id(1, 2) == "node-1.r2"
 
 
 # -- records ----------------------------------------------------------------
@@ -146,66 +148,35 @@ def test_ledger_settle_without_attempt_reports_one():
 # -- canonical structure ----------------------------------------------------
 
 
-def _spans_with_topology(duration=1.0, shuffle=False):
+def _spans(duration=1.0, shuffle=False):
     spans = [
         Span("sweep-000", None, "sweep", "sweep", "ok", 0.0, duration),
         Span("rep-00000", "sweep-000", "replication 0", "replication", "ok",
              0.0, duration, {"position": 0, "attempts": 1}),
         Span("rep-00000.a1", "rep-00000", "attempt 1", "attempt", "ok",
              0.0, duration, {"position": 0, "attempt": 1}),
-        Span("node-0.r0", "sweep-000", "node 0 round 0", "node", "ok",
-             0.0, duration),
-        Span("chunk-00000", "node-0.r0", "chunk 0", "chunk", "ok",
-             0.0, duration),
     ]
     if shuffle:
         spans.reverse()
     return spans
 
 
-def test_canonical_structure_ignores_topology_durations_and_order():
-    base = canonical_structure(_spans_with_topology())
-    assert canonical_structure(_spans_with_topology(duration=9.0)) == base
-    assert canonical_structure(_spans_with_topology(shuffle=True)) == base
-    no_topology = [
-        s for s in _spans_with_topology() if s.kind not in ("node", "chunk")
-    ]
-    assert canonical_structure(no_topology) == base
+def test_canonical_structure_ignores_durations_and_order():
+    base = canonical_structure(_spans())
+    assert canonical_structure(_spans(duration=9.0)) == base
+    assert canonical_structure(_spans(shuffle=True)) == base
 
 
 def test_canonical_structure_sees_status_and_count_changes():
-    base = canonical_structure(_spans_with_topology())
-    failed = _spans_with_topology()
+    base = canonical_structure(_spans())
+    failed = _spans()
     failed[1].status = "failed"
     assert canonical_structure(failed) != base
-    extra = _spans_with_topology() + [
+    extra = _spans() + [
         Span("rep-00001", "sweep-000", "replication 1", "replication", "ok",
              0.0, 1.0)
     ]
     assert canonical_structure(extra) != base
-
-
-# -- rebase -----------------------------------------------------------------
-
-
-def test_rebase_remaps_position_and_reparents_to_sweep():
-    record = span_to_record(
-        Span("rep-00000", "sweep-old", "replication 0", "replication", "ok",
-             0.0, 1.0, {"position": 0, "attempts": 2})
-    )
-    out = rebase_span_record(record, {0: 5}, "sweep-new")
-    assert out["span"] == "rep-00005"
-    assert out["parent"] == "sweep-new"
-    assert out["name"] == "replication 5"
-    assert out["attrs"]["position"] == 5
-    attempt = span_to_record(
-        Span("rep-00000.a2", "rep-00000", "attempt 2", "attempt", "error",
-             0.0, 1.0, {"position": 0, "attempt": 2})
-    )
-    out = rebase_span_record(attempt, {0: 5}, "sweep-new")
-    assert out["span"] == "rep-00005.a2"
-    assert out["parent"] == "rep-00005"
-    assert out["attrs"]["position"] == 5
 
 
 # -- jsonl I/O --------------------------------------------------------------
@@ -213,7 +184,7 @@ def test_rebase_remaps_position_and_reparents_to_sweep():
 
 @pytest.mark.parametrize("name", ["spans.jsonl", "spans.jsonl.gz"])
 def test_write_read_round_trip(tmp_path, name):
-    spans = _spans_with_topology(shuffle=True)
+    spans = _spans(shuffle=True)
     path = tmp_path / name
     write_spans_jsonl(path, spans)
     loaded = read_spans_jsonl(path)
@@ -228,7 +199,7 @@ def test_read_rejects_non_span_lines(tmp_path):
     path = tmp_path / "spans.jsonl"
     path.write_text(
         json.dumps({"not-a-span": 1}) + "\n"
-        + json.dumps(span_to_record(_spans_with_topology()[0])) + "\n"
+        + json.dumps(span_to_record(_spans()[0])) + "\n"
     )
     with pytest.raises(ValueError, match="not a span record"):
         read_spans_jsonl(path)
@@ -238,7 +209,7 @@ def test_read_rejects_non_span_lines(tmp_path):
 
 
 def test_format_span_tree_nests_children_and_roots_orphans():
-    spans = _spans_with_topology()
+    spans = _spans()
     spans.append(
         Span("rep-99999", "sweep-missing", "orphan", "replication", "ok",
              0.0, 0.5)
@@ -250,3 +221,130 @@ def test_format_span_tree_nests_children_and_roots_orphans():
     assert any(line.startswith("    rep-00000.a1 ") for line in lines)
     # Orphan parents render at the root level instead of vanishing.
     assert any(line.startswith("rep-99999 ") for line in lines)
+
+
+# -- runner span structure --------------------------------------------------
+
+
+def _flaky_worker(config):
+    marker = pathlib.Path(config["marker"])
+    if not marker.exists():
+        marker.write_text("attempted")
+        raise ValueError("first attempt fails")
+    return config["seed"]
+
+
+def _configs(n=8):
+    return [{"seed": i, "span-test": True} for i in range(n)]
+
+
+def _collect(runner, configs, fn=config_key, raises=None):
+    collector = SpanCollector()
+    with use_span_collector(collector):
+        if raises is None:
+            runner.run_many(fn, configs)
+        else:
+            with pytest.raises(raises):
+                runner.run_many(fn, configs)
+    return collector.spans()
+
+
+def test_structure_identical_serial_pool_supervised():
+    configs = _configs()
+    serial = _collect(ExperimentRunner(jobs=1), configs)
+    pool = _collect(ExperimentRunner(jobs=2), configs)
+    supervised = _collect(ExperimentRunner(jobs=2, max_retries=1), configs)
+
+    base = canonical_structure(serial)
+    assert canonical_structure(pool) == base
+    assert canonical_structure(supervised) == base
+
+    counts = {}
+    for span in serial:
+        counts[span.kind] = counts.get(span.kind, 0) + 1
+    assert counts == {"sweep": 1, "replication": 8, "attempt": 8}
+
+
+def test_serial_parentage_and_ids():
+    configs = _configs(3)
+    spans = {s.span_id: s for s in _collect(ExperimentRunner(jobs=1), configs)}
+    sweep = spans["sweep-000"]
+    assert sweep.parent_id is None
+    assert sweep.status == "ok"
+    for i in range(3):
+        rep = spans[f"rep-{i:05d}"]
+        assert rep.parent_id == "sweep-000"
+        assert rep.attrs["position"] == i
+        attempt = spans[f"rep-{i:05d}.a1"]
+        assert attempt.parent_id == rep.span_id
+
+
+def test_retry_produces_numbered_attempt_spans(tmp_path):
+    configs = [{"seed": 0, "marker": str(tmp_path / "marker")}]
+    runner = ExperimentRunner(jobs=1, max_retries=2, retry_backoff=0.0)
+    spans = {s.span_id: s for s in _collect(runner, configs, fn=_flaky_worker)}
+    assert spans["rep-00000.a1"].status == "error"
+    assert spans["rep-00000.a2"].status == "ok"
+    rep = spans["rep-00000"]
+    assert rep.status == "ok"
+    assert rep.attrs["attempts"] == 2
+
+
+def test_exhausted_retries_settle_failed(tmp_path):
+    from repro.runtime import WorkerError
+
+    def no_retries():
+        return ExperimentRunner(jobs=1, max_retries=0)
+
+    configs = [{"seed": 0, "marker": str(tmp_path / "never-written" / "x")}]
+    spans = {
+        s.span_id: s
+        for s in _collect(no_retries(), configs, fn=_flaky_worker,
+                          raises=WorkerError)
+    }
+    assert spans["rep-00000.a1"].status == "error"
+    assert spans["rep-00000"].status == "failed"
+    assert spans["sweep-000"].status == "failed"
+
+
+# -- hash-seed independence -------------------------------------------------
+
+HASH_SEEDS = ("0", "1", "31337")
+
+_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+
+# Prints the structure digest of a serial and of a pooled run of one sweep.
+_STRUCTURE_DIGESTS = """
+import hashlib
+
+from repro.obs import SpanCollector, canonical_structure, use_span_collector
+from repro.runtime import ExperimentRunner
+from repro.runtime.cache import config_key
+
+configs = [{"seed": i, "hashseed-span-test": True} for i in range(6)]
+
+for jobs in (1, 2):
+    collector = SpanCollector()
+    with use_span_collector(collector):
+        ExperimentRunner(jobs=jobs).run_many(config_key, configs)
+    print(hashlib.sha256(canonical_structure(collector.spans())).hexdigest())
+"""
+
+
+def test_canonical_structure_independent_of_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    digests = set()
+    for seed in HASH_SEEDS:
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _STRUCTURE_DIGESTS],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        serial, pool = proc.stdout.split()
+        assert serial == pool, f"PYTHONHASHSEED={seed}: serial and pool differ"
+        digests.add(serial)
+    assert len(digests) == 1, digests

@@ -118,7 +118,7 @@ def test_runner_counts_des_events_serial_and_pool():
     assert serial.telemetry.des_events > 0
     assert serial.telemetry.events_per_second > 0
 
-    pool = ExperimentRunner(jobs=2, backend="process")
+    pool = ExperimentRunner(jobs=2)
     pool.run_many(_run_twocell, [1, 2])
     assert pool.telemetry.des_events == serial.telemetry.des_events
 
@@ -175,7 +175,7 @@ def test_serial_ft_counts_retries_and_failures():
 
 
 def test_pool_runner_ships_wall_times_back(tmp_path):
-    runner = ExperimentRunner(jobs=2, backend="process")
+    runner = ExperimentRunner(jobs=2)
     assert runner.run_many(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
     t = runner.telemetry
     assert t.replications == 4
@@ -184,7 +184,7 @@ def test_pool_runner_ships_wall_times_back(tmp_path):
 
 
 def test_supervised_runner_counts_crashes():
-    runner = ExperimentRunner(jobs=2, backend="process", partial=True)
+    runner = ExperimentRunner(jobs=2, partial=True)
     results = runner.run_many(_crash_if_negative, [1, -1])
     assert results[0] == 1
     assert isinstance(results[1], FailedResult)

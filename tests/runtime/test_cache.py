@@ -358,6 +358,10 @@ def test_cap_validation():
         ResultCache(max_bytes=-1)
     with pytest.raises(ValueError):
         ResultCache(max_entries=-1)
+    with pytest.raises(ValueError):
+        ResultCache(max_bytes=float("nan"))
+    with pytest.raises(ValueError):
+        ResultCache(max_entries=float("nan"))
 
 
 def test_stats_snapshot(tmp_path):

@@ -1,4 +1,5 @@
-"""Fault-tolerance tests: retries, timeouts, partial results, crashes.
+"""Fault-tolerance tests: retries, timeouts, partial results, crashes, and
+resuming an interrupted sweep from the result cache.
 
 Faults are scripted through :class:`repro.runtime.FaultInjector` so every
 scenario is deterministic: the injector fails the first N attempts of a
@@ -9,6 +10,11 @@ results that survive the faults are bit-identical to a fault-free serial
 run.
 """
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import warnings
 
@@ -27,10 +33,13 @@ from repro.runtime import (
     failed,
     succeeded,
 )
+from repro.runtime.cache import config_key
 from repro.sim import figure6_config, simulate_twocell_stats
 
 CONFIGS = [1, 2, 3, 4]
 EXPECTED = [1, 4, 9, 16]
+
+_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
 def _square(x):
@@ -280,6 +289,94 @@ def test_retry_results_identical_on_both_backends(tmp_path):
         assert runner.run_many(injector, CONFIGS) == baseline
 
 
+# -- resume through the result cache ----------------------------------------
+#
+# Every path writes a replication to the cache the moment it settles, so a
+# sweep interrupted at position 5 of 8 keeps what finished, and re-running
+# it with the same cache recomputes only the gap.
+
+RESUME_CONFIGS = [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def _assert_resumes(worker, cache, configs, settled):
+    """A re-run with ``cache`` hits exactly the ``settled`` entries, runs the
+    rest, and equals an uninterrupted serial run."""
+    rerun = ExperimentRunner(jobs=1, cache=cache)
+    assert rerun.run_many(worker, configs) == (
+        ExperimentRunner(jobs=1).run_many(worker, configs)
+    )
+    assert rerun.telemetry.cache_hits == settled
+    assert rerun.telemetry.replications == len(configs) - settled
+
+
+# The killed sweep runs in its own interpreter.  Its worker keeps the
+# namespace of an importable function (``config_key``), so the in-process
+# re-run looks the entries up under the same ``module.qualname``.
+_KILLED_SERIAL_SWEEP = """
+import functools
+import os
+import sys
+
+from repro.runtime import ExperimentRunner, ResultCache
+from repro.runtime.cache import config_key
+
+
+@functools.wraps(config_key)
+def dies_at_position_5(config):
+    if config == 6:
+        os._exit(17)
+    return config_key(config)
+
+
+runner = ExperimentRunner(jobs=1, cache=ResultCache(root=sys.argv[1]))
+runner.run_many(dies_at_position_5, [1, 2, 3, 4, 5, 6, 7, 8])
+"""
+
+
+def test_serial_sweep_killed_mid_run_resumes_from_cache(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_SERIAL_SWEEP, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 17, proc.stderr
+    cache = ResultCache(root=tmp_path)
+    assert len(cache) == 5
+    _assert_resumes(config_key, cache, RESUME_CONFIGS, settled=5)
+
+
+def test_pool_sweep_failing_mid_run_resumes_from_cache(tmp_path):
+    injector = FaultInjector(
+        _square, {6: FaultSpec("raise", attempts=1)}, tmp_path / "faults"
+    )
+    cache = ResultCache(root=tmp_path / "cache")
+    runner = ExperimentRunner(jobs=2, cache=cache)
+    with pytest.raises(WorkerError) as excinfo:
+        runner.run_many(injector, RESUME_CONFIGS)
+    assert excinfo.value.index == 5
+    assert len(cache) == 5
+    _assert_resumes(_square, cache, RESUME_CONFIGS, settled=5)
+
+
+def test_supervised_sweep_crashing_mid_run_resumes_from_cache(tmp_path):
+    injector = FaultInjector(
+        _square, {6: FaultSpec("crash", attempts=1)}, tmp_path / "faults"
+    )
+    cache = ResultCache(root=tmp_path / "cache")
+    runner = ExperimentRunner(jobs=2, max_retries=0, timeout=60.0, cache=cache)
+    with pytest.raises(WorkerError) as excinfo:
+        runner.run_many(injector, RESUME_CONFIGS)
+    assert isinstance(excinfo.value.cause, WorkerCrash)
+    # Position 5 launches only once two slots are free, i.e. after at
+    # least 4 of positions 0..4 have settled.
+    settled = len(cache)
+    assert settled >= 4
+    _assert_resumes(_square, cache, RESUME_CONFIGS, settled=settled)
+
+
 # -- constructor validation --------------------------------------------------
 
 
@@ -290,7 +387,8 @@ def test_retry_results_identical_on_both_backends(tmp_path):
         {"retry_backoff": -0.5},
         {"timeout": 0.0},
         {"timeout": -3.0},
-        {"backend": "threads"},
+        {"timeout": math.nan},
+        {"retry_backoff": math.nan},
     ],
 )
 def test_invalid_runner_options_rejected(kwargs):
@@ -304,6 +402,8 @@ def test_invalid_runner_options_rejected(kwargs):
         {"kind": "explode"},
         {"kind": "raise", "attempts": 0},
         {"kind": "hang", "hang_seconds": -1.0},
+        {"kind": "hang", "hang_seconds": math.nan},
+        {"kind": "raise", "attempts": math.nan},
     ],
 )
 def test_invalid_fault_spec_rejected(kwargs):

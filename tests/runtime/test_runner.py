@@ -44,12 +44,10 @@ def _figure6_sweep_configs():
 def test_serial_preserves_submission_order():
     runner = ExperimentRunner(jobs=1)
     assert runner.run_many(_square, range(10)) == [x * x for x in range(10)]
-    assert runner.backend == "serial"
 
 
 def test_process_pool_preserves_submission_order():
     runner = ExperimentRunner(jobs=3)
-    assert runner.backend == "process"
     assert runner.run_many(_square, range(20)) == [x * x for x in range(20)]
 
 
@@ -68,11 +66,6 @@ def test_parallel_equals_serial_on_figure6_sweep():
 
 def test_empty_batch():
     assert ExperimentRunner(jobs=4).run_many(_square, []) == []
-
-
-def test_explicit_backend_validation():
-    with pytest.raises(ValueError):
-        ExperimentRunner(backend="threads")
 
 
 # -- worker exception propagation -----------------------------------------
