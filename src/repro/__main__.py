@@ -54,32 +54,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, Dict, List, Optional
 
 from .runtime import ExperimentRunner, ResultCache, parse_size
-
-
-def _add_des_core_flag(parser: argparse.ArgumentParser) -> None:
-    """The ``--des-core`` selector shared by the experiment parsers."""
-    parser.add_argument(
-        "--des-core", choices=("auto", "native", "pure"), default=None,
-        help="simulation kernel core: 'native' requires the compiled "
-        "repro.des._speedups extension (errors if absent), 'pure' forces "
-        "the Python kernel, 'auto' picks native when available (default: "
-        "$REPRO_DES_NATIVE, else auto)",
-    )
-
-
-def _apply_des_core(args: argparse.Namespace) -> None:
-    """Publish ``--des-core`` through ``REPRO_DES_NATIVE`` so every
-    ``make_environment()`` — in this process and in pool workers alike —
-    sees the same selection."""
-    if getattr(args, "des_core", None) is not None:
-        from .des import NATIVE_ENV
-
-        os.environ[NATIVE_ENV] = args.des_core
 
 
 def _table2(runner: ExperimentRunner) -> str:
@@ -160,9 +138,7 @@ def _ablations(runner: ExperimentRunner) -> str:
 def _adaptation_value(runner: ExperimentRunner) -> str:
     from .experiments import render_adaptation_value, run_adaptation_value
 
-    return render_adaptation_value(
-        run_adaptation_value(duration=200.0, runner=runner)
-    )
+    return render_adaptation_value(run_adaptation_value(runner=runner))
 
 
 def _campus_day(runner: ExperimentRunner) -> str:
@@ -312,9 +288,7 @@ def _campus_main(argv: List[str]) -> int:
         "--stats-json", default=None, metavar="PATH",
         help="write run telemetry as JSON to PATH (implies --stats output)",
     )
-    _add_des_core_flag(parser)
     args = parser.parse_args(argv)
-    _apply_des_core(args)
 
     runner = ExperimentRunner(jobs=args.jobs)
     configs = [
@@ -509,9 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--stats-json", default=None, metavar="PATH",
         help="write run telemetry as JSON to PATH (implies --stats output)",
     )
-    _add_des_core_flag(parser)
     args = parser.parse_args(argv)
-    _apply_des_core(args)
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):

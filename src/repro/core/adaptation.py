@@ -30,7 +30,10 @@ property-based tests):
   committed rate disagrees with the minimum advertised rate along its path,
   repeating until a sweep changes nothing.  The "preliminary approach"
   (``use_bottleneck_sets=False``) re-probes indiscriminately instead — the
-  overhead gap the M(l) ablation quantifies.
+  overhead gap the M(l) ablation quantifies.  A sweep whose probes are all
+  suppressed by their source link's own view (the disagreement sits on a
+  link further along the path) would find the same frozen state forever;
+  the next sweep then *forces* its probes past that local check.
 * **Committed-vs-transient separation** — in-flight ADVERTISE stamps update
   the per-link ``recorded`` view (used by the advertised-rate formula) but
   only UPDATE-committed values participate in change detection, so probe
@@ -215,6 +218,12 @@ class AdaptationProtocol:
         self._sweep_scheduled = False
         self._dirty = False
         self.sweep_delay = 0.05
+        #: ``rounds_initiated`` when the running sweep began: a sweep that
+        #: ends with no round launched since made no progress.
+        self._sweep_rounds = 0
+        #: The running sweep's probes skip ``_initiate``'s local-view check
+        #: (set after a sweep that made no progress).
+        self._force_probes = False
         #: Serialized sweep probes: (node, link_key, conn) waiting their turn.
         self._probe_queue: List[Tuple[Hashable, Tuple[Hashable, Hashable], Hashable]] = []
         self.rounds_initiated = 0
@@ -387,6 +396,7 @@ class AdaptationProtocol:
         if not self._dirty:
             return
         self._dirty = False
+        self._sweep_rounds = self.rounds_initiated
         # Per-connection probes, emulating the periodic source control
         # packets of the original Charny algorithm.  Probes are SERIALIZED
         # (one round at a time, drained via round completions): concurrent
@@ -411,9 +421,9 @@ class AdaptationProtocol:
                 ),
                 self.demands[conn_id],
             )
-            if self.use_bottleneck_sets:
-                # Refinement: probe only when the path-global view says the
-                # committed rate is off.
+            if self.use_bottleneck_sets or self._force_probes:
+                # Refinement (and any forced sweep): probe only when the
+                # path-global view says the committed rate is off.
                 if abs(candidate - rate) > self.delta:
                     self._probe_queue.append(
                         (route[0], (route[0], route[1]), conn_id)
@@ -433,11 +443,18 @@ class AdaptationProtocol:
             node, link_key, conn_id = self._probe_queue.pop(0)
             if conn_id not in self.routes:
                 continue
-            self._initiate(node, link_key, conn_id)
+            self._initiate(node, link_key, conn_id, force=self._force_probes)
         if not self._probe_queue and not self._rounds:
             # Sweep finished: if the settled state still disagrees with the
             # links' (now final) advertised rates, run another sweep.
+            forced, self._force_probes = self._force_probes, False
             if self._converged_view_mismatch():
+                stalled = self.rounds_initiated == self._sweep_rounds
+                if stalled and forced:
+                    # Even forced probes could not launch (safety cap): no
+                    # sweep can change anything until an external event.
+                    return
+                self._force_probes = stalled
                 self._dirty = True
                 self._schedule_sweep()
 
@@ -467,6 +484,7 @@ class AdaptationProtocol:
         node: Hashable,
         link_key: Tuple[Hashable, Hashable],
         conn_id: Hashable,
+        force: bool = False,
     ) -> None:
         if conn_id not in self.routes:
             return
@@ -476,7 +494,11 @@ class AdaptationProtocol:
         mu = state.advertised()
         target = min(mu, self.demands[conn_id])
         recorded = state.recorded.get(conn_id, 0.0)
-        if abs(target - recorded) <= self.delta and self._round_counts.get(conn_id):
+        if (
+            not force
+            and abs(target - recorded) <= self.delta
+            and self._round_counts.get(conn_id)
+        ):
             return  # already within delta of this link's view
         if self._round_counts.get(conn_id, 0) >= self.safety_cap:
             return  # diagnostic backstop against pathological churn

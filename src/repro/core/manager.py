@@ -127,8 +127,11 @@ class CellularResourceManager:
         #: The ``(cell, since)`` residence each armed timer refers to —
         #: dedups re-arming and invalidates superseded heap entries.
         self._armed_since: Dict[Hashable, Tuple[Hashable, float]] = {}
+        #: Cells whose reservations changed since their last rebalance
+        #: (see :meth:`_resolve_over_committed`).
+        self._reservations_changed: Dict[Hashable, None] = {}
         for cell_id, cell in self.cells.items():
-            cell.reservations.on_change = partial(self._mark_dirty, cell_id)
+            cell.reservations.on_change = partial(self._reservation_changed, cell_id)
 
     # -- lookups --------------------------------------------------------------
 
@@ -183,37 +186,40 @@ class CellularResourceManager:
 
         Returns the ACTIVE connection, or None when blocked.
         """
-        now = self.env.now
-        cell = self.cells[portable.current_cell]
-        conn = Connection(
-            src=f"air:{cell.cell_id}",
-            dst=f"bs:{cell.cell_id}",
-            qos=qos,
-            portable_id=portable.portable_id,
-            ctype=ctype,
-        )
-        if qos.bounds is None:
-            conn.activate([conn.src, conn.dst], 0.0, now)
+        try:
+            now = self.env.now
+            cell = self.cells[portable.current_cell]
+            conn = Connection(
+                src=f"air:{cell.cell_id}",
+                dst=f"bs:{cell.cell_id}",
+                qos=qos,
+                portable_id=portable.portable_id,
+                ctype=ctype,
+            )
+            if qos.bounds is None:
+                conn.activate([conn.src, conn.dst], 0.0, now)
+                portable.attach(conn)
+                self.connections[conn.conn_id] = conn
+                self._index_portable(portable, cell.cell_id)
+                return conn
+
+            if qos.b_min > cell.link.excess_available + 1e-9:
+                conn.block(now)
+                self.blocked += 1
+                return None
+
+            cell.link.admit(conn.conn_id, qos.b_min)
+            conn.activate([conn.src, conn.dst], qos.b_min, now)
             portable.attach(conn)
             self.connections[conn.conn_id] = conn
+            self.admitted += 1
+            self._mark_dirty(cell.cell_id)
             self._index_portable(portable, cell.cell_id)
+            self._arm_static_timer(portable)
+            self.rebalance(cell.cell_id)
             return conn
-
-        if qos.b_min > cell.link.excess_available + 1e-9:
-            conn.block(now)
-            self.blocked += 1
-            return None
-
-        cell.link.admit(conn.conn_id, qos.b_min)
-        conn.activate([conn.src, conn.dst], qos.b_min, now)
-        portable.attach(conn)
-        self.connections[conn.conn_id] = conn
-        self.admitted += 1
-        self._mark_dirty(cell.cell_id)
-        self._index_portable(portable, cell.cell_id)
-        self._arm_static_timer(portable)
-        self.rebalance(cell.cell_id)
-        return conn
+        finally:
+            self._resolve_over_committed()
 
     def terminate_connection(self, conn: Connection) -> None:
         """Normal teardown; freed capacity is redistributed."""
@@ -332,6 +338,7 @@ class CellularResourceManager:
         finally:
             for cell_id in affected:
                 self.rebalance(cell_id)
+            self._resolve_over_committed()
         return outcomes
 
     # -- adaptation ---------------------------------------------------------------------
@@ -350,6 +357,8 @@ class CellularResourceManager:
         """
         now = self.env.now
         link = self.cells[cell_id].link
+        # The shares below fit the cell's current reservations.
+        self._reservations_changed.pop(cell_id, None)
         # Read before the static tests: their on_static callback may change
         # the ledger.
         capacity = max(0.0, link.excess_available)
@@ -402,6 +411,7 @@ class CellularResourceManager:
             for cell_id in self.cells:
                 self.rebalance(cell_id)
             self.update_pools()
+            self._resolve_over_committed()
             return
 
         touched, flipped = self._collect_touched(now)
@@ -420,6 +430,7 @@ class CellularResourceManager:
         for cell_id in touched:
             self.rebalance(cell_id)
         self.update_pools(touched)
+        self._resolve_over_committed()
 
     def update_pools(self, cell_ids: Optional[Iterable[Hashable]] = None) -> None:
         """Section 5.3's ``B_dyn`` policy.
@@ -466,6 +477,26 @@ class CellularResourceManager:
     def _mark_dirty(self, cell_id: Hashable) -> None:
         """Queue a cell for the next incremental maintenance pass."""
         self._dirty[cell_id] = None
+
+    def _reservation_changed(self, cell_id: Hashable) -> None:
+        """A cell's reservation ledger changed: dirty it and note it."""
+        self._dirty[cell_id] = None
+        self._reservations_changed[cell_id] = None
+
+    def _resolve_over_committed(self) -> None:
+        """Re-solve each cell whose reservations changed since its last
+        rebalance and that now over-commits, then clear the notes.
+
+        A pool or advance reservation raised after a cell's last rebalance
+        eats excess granted before it, so the cell hands out bandwidth it
+        has reserved (``unassigned < 0``).  Re-solving shrinks the shares to
+        what the reservations leave: the single-hop case of Ganesan's
+        sufficient conditions holds again when the manager call returns.
+        """
+        noted, self._reservations_changed = self._reservations_changed, {}
+        for cell_id in noted:
+            if self.cells[cell_id].link.unassigned < 0:
+                self.rebalance(cell_id)
 
     def _index_portable(self, portable, cell_id: Hashable) -> None:
         """Sync a portable's membership in the per-cell connected index."""

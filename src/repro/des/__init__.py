@@ -1,8 +1,10 @@
 """A deterministic discrete-event simulation kernel (SimPy-style).
 
 The paper's evaluation relies on a custom event-driven simulator; this
-subpackage provides that substrate: an :class:`Environment` with a clock and
-event heap, generator-based processes, and composable events.
+subpackage provides that substrate for the process-based scenarios (the
+floorplan simulator, Figure 5, adaptation value and the ablations): an
+:class:`Environment` with a clock and event heap, generator-based
+processes, and one-shot events.
 
 Example
 -------
@@ -20,41 +22,23 @@ Example
 """
 
 from .engine import (
+    NORMAL,
+    URGENT,
+    EmptySchedule,
     Environment,
     events_processed_by_core,
     events_processed_total,
-    make_environment,
-    native_available,
-    native_import_error,
-    resolve_des_core,
-    selected_core,
-    NATIVE_ENV,
-    NORMAL,
-    URGENT,
 )
-from .errors import EmptySchedule, Interrupt, SimulationError, StopProcess
-from .events import AllOf, AnyOf, Condition, Event, Timeout
+from .events import Event, Timeout
 from .process import Process
 
 __all__ = [
     "Environment",
     "events_processed_by_core",
     "events_processed_total",
-    "make_environment",
-    "native_available",
-    "native_import_error",
-    "resolve_des_core",
-    "selected_core",
-    "NATIVE_ENV",
     "NORMAL",
     "URGENT",
     "EmptySchedule",
-    "Interrupt",
-    "SimulationError",
-    "StopProcess",
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Event",
     "Timeout",
     "Process",

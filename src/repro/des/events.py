@@ -2,22 +2,22 @@
 
 The design follows the classic SimPy model: an :class:`Event` is a one-shot
 occurrence with a value; processes (generators) yield events to suspend until
-they fire.  Events can be combined with ``&`` (all-of) and ``|`` (any-of).
+they fire.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:
     from .engine import Environment
 
-__all__ = ["PENDING", "Event", "Timeout", "Condition", "AllOf", "AnyOf"]
+__all__ = ["PENDING", "Event", "Timeout"]
 
 #: Sentinel for "event has no value yet".
 PENDING = object()
 
-#: Priority for interrupt/initialize events (processed first at a timestamp).
+#: Priority for process-start and run-stop events (first at a timestamp).
 URGENT = 0
 #: Priority for ordinary events.
 NORMAL = 1
@@ -74,12 +74,6 @@ class Event:
 
     # -- triggering -------------------------------------------------------
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (processed) event."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self.triggered:
@@ -100,14 +94,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    # -- composition ------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} object at {id(self):#x}>"
 
@@ -115,7 +101,7 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after ``delay`` time units."""
 
-    __slots__ = ("_delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -127,90 +113,6 @@ class Timeout(Event):
         self.env = env
         self.callbacks = []
         self.defused = False
-        self._delay = delay
         self._ok = True
         self._value = value
         env._push(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
-
-    @property
-    def delay(self) -> float:
-        return self._delay
-
-    def __repr__(self) -> str:
-        return f"<Timeout({self._delay}) object at {id(self):#x}>"
-
-
-class Condition(Event):
-    """Event that fires when a boolean function of sub-events is satisfied.
-
-    The condition's value is a dict mapping each *processed* sub-event to its
-    value, in the order the sub-events were given.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[Sequence["Event"], int], bool],
-        events: Iterable["Event"],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("events from different environments")
-
-        # Check for already-processed events first (immediate conditions).
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> Dict["Event", Any]:
-        return {e: e._value for e in self._events if e.callbacks is None}
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self._ok = True
-            self._value = self._collect_values()
-            self.env.schedule(self)
-
-    def trigger(self, event: "Event") -> None:  # pragma: no cover - not used for conditions
-        raise NotImplementedError("conditions cannot be re-triggered")
-
-    @staticmethod
-    def all_events(events: Sequence["Event"], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: Sequence["Event"], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that fires once *all* of ``events`` have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable["Event"]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires once *any* of ``events`` has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable["Event"]):
-        super().__init__(env, Condition.any_events, events)

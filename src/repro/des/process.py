@@ -7,13 +7,12 @@ event's value is sent back into the generator (or its exception thrown in).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Generator
 
 if TYPE_CHECKING:
     from .engine import Environment
 
-from .errors import Interrupt, StopProcess
-from .events import Event
+from .events import URGENT, Event
 
 __all__ = ["Process", "Initialize"]
 
@@ -28,66 +27,33 @@ class Initialize(Event):
         self._ok = True
         self._value = None
         self.callbacks.append(process._resume)
-        env.schedule(self, priority=0)
+        env.schedule(self, priority=URGENT)
 
 
 class Process(Event):
     """A running process.  Also an event that fires when the process ends.
 
     The process's value is the generator's return value (``StopIteration``
-    value), or the value passed to :meth:`Environment.exit`.
+    value).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise ValueError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Event | None = Initialize(env, self)
-
-    @property
-    def target(self) -> Event | None:
-        """The event this process is currently waiting for (if any)."""
-        return self._target
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         """True until the wrapped generator has exited."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process as soon as possible."""
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defused = True
-        # Jump the queue: interrupts take effect before normal events at the
-        # same timestamp.
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=0)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the state of ``event``."""
         env = self.env
-        env._active_proc = self
-
-        # Interrupts may arrive while we were waiting on a different target;
-        # unsubscribe from the old target so its later firing is ignored.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._target = None
-
         while True:
             try:
                 if event._ok:
@@ -96,27 +62,18 @@ class Process(Event):
                     # The event failed: throw its exception into the process.
                     event.defused = True
                     next_event = self._generator.throw(event._value)
-            except StopProcess as stop:
-                env._active_proc = None
-                self._ok = True
-                self._value = stop.value
-                env.schedule(self)
-                return
             except StopIteration as stop:
-                env._active_proc = None
                 self._ok = True
                 self._value = stop.value
                 env.schedule(self)
                 return
             except BaseException as exc:
-                env._active_proc = None
                 self._ok = False
                 self._value = exc
                 env.schedule(self)
                 return
 
             if not isinstance(next_event, Event):
-                env._active_proc = None
                 error = RuntimeError(
                     f"process yielded a non-event: {next_event!r}"
                 )
@@ -128,8 +85,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event has not fired yet: subscribe and suspend.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
-                env._active_proc = None
                 return
 
             # Event already processed: loop and resume immediately with its

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.adaptation import AdaptationProtocol
 from ..core.prediction import ProfileAwarePredictor
 from ..core.qos import QoSBounds, QoSRequest
-from ..des import make_environment
+from ..des import Environment
 from ..mobility.traces import office_week_trace
 from ..network.routing import shortest_path
 from ..network.topology import line_topology
@@ -145,7 +145,7 @@ def _adaptation_scenario(use_bottleneck_sets: bool, conns: int = 6,
     """
     rng = random.Random(seed)
     topo = line_topology(switches, capacity=1000.0, prop_delay=0.001)
-    env = make_environment()
+    env = Environment()
     protocol = AdaptationProtocol(
         env, topo, use_bottleneck_sets=use_bottleneck_sets
     )

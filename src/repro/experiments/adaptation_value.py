@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from ..core.adaptation import AdaptationProtocol
 from ..core.qos import QoSBounds, QoSRequest
-from ..des import make_environment
+from ..des import Environment
 from ..network.topology import Topology
 from ..runtime import ExperimentRunner, drop_failures
 from ..traffic.connection import Connection
@@ -72,7 +72,7 @@ def simulate_adaptation_policy(
     seed, duration = config.seed, config.duration
     n_videos, capacity = config.n_videos, config.capacity
     mean_good, mean_bad = config.mean_good, config.mean_bad
-    env = make_environment()
+    env = Environment()
     rng = random.Random(seed)
 
     topo = Topology()

@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.meeting import MeetingRoomReservation
 from ..core.qos import QoSBounds, QoSRequest
-from ..des import make_environment
+from ..des import Environment
 from ..mobility.traces import MoveTrace, class_session_trace
 from ..runtime import ExperimentRunner, FailedResult, drop_failures
 from ..profiles.records import BookingCalendar, CellClass, Meeting
@@ -122,7 +122,7 @@ class _ReplayHarness:
 
     def __init__(self, config: Figure5Config, pretrain_seed: Optional[int] = None):
         self.config = config
-        self.env = make_environment()
+        self.env = Environment()
         self.rng = random.Random(config.seed * 7919 + 17)
         self.cells: Dict[Hashable, Cell] = {
             "outside": Cell("outside", capacity=1e9, cell_class=CellClass.CORRIDOR),

@@ -38,7 +38,7 @@ REP103 = Rule(
 )
 
 #: Environment methods whose result is an Event (safe to yield).
-_EVENT_FACTORIES = {"timeout", "event", "process", "all_of", "any_of"}
+_EVENT_FACTORIES = {"timeout", "event", "process"}
 
 
 def _is_generator_def(func: ast.AST) -> bool:

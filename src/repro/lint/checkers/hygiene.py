@@ -20,7 +20,6 @@ __all__ = [
     "ClockComparisonChecker",
     "BareExceptChecker",
     "LibraryPrintChecker",
-    "SpeedupsImportChecker",
 ]
 
 REP301 = Rule(
@@ -41,14 +40,6 @@ REP303 = Rule(
     "bare print() in library code bypasses the observability layer; emit a "
     "trace record or metric (repro.obs), or return the text to the caller",
 )
-REP305 = Rule(
-    "REP305",
-    "no-direct-speedups-import",
-    "importing repro.des._speedups directly bypasses the core-selection "
-    "seam (availability probing, tracer fallback); construct "
-    "environments through repro.des.engine.make_environment()",
-)
-
 #: Module basenames allowed to print: the CLI surface.
 _PRINT_EXEMPT_MODULES = frozenset({"cli", "__main__"})
 
@@ -117,7 +108,7 @@ class BareExceptChecker(Checker):
         if node.type is None and self.ctx.in_engine_package:
             self.report(
                 "REP302", node,
-                "bare except: swallows StopProcess/KeyboardInterrupt in "
+                "bare except: swallows _StopSimulation/KeyboardInterrupt in "
                 "engine code; catch Exception or narrower",
             )
         self.generic_visit(node)
@@ -150,46 +141,4 @@ class LibraryPrintChecker(Checker):
                 "print() in library code; emit via repro.obs (trace/metric) "
                 "or return the text to the caller",
             )
-        self.generic_visit(node)
-
-
-@register(REP305)
-class SpeedupsImportChecker(Checker):
-    """Direct imports of the compiled DES extension are banned.
-
-    ``repro.des._speedups`` is an *optional* accelerator; the only place
-    allowed to touch it is the selection seam in ``repro/des/`` (which
-    probes availability and falls back to the pure kernel when tracing is
-    on).  Library code importing it directly would crash on
-    pure-only installs and skip the fallback rules.  Tests and tools are
-    exempt — they exercise the extension on purpose.
-    """
-
-    _MESSAGE = (
-        "direct import of the compiled DES core; environments must come "
-        "from repro.des.engine.make_environment() so the availability and "
-        "tracing fallbacks apply"
-    )
-
-    def _in_scope(self) -> bool:
-        haystack = "/" + self.ctx.path.strip("/") + "/"
-        if "/repro/" not in haystack or "/tests/" in haystack:
-            return False
-        return "/repro/des/" not in haystack
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if self._in_scope():
-            for alias in node.names:
-                if alias.name.split(".")[-1] == "_speedups":
-                    self.report("REP305", node, self._MESSAGE)
-                    break
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self._in_scope():
-            module_leaf = (node.module or "").split(".")[-1]
-            if module_leaf == "_speedups" or any(
-                alias.name == "_speedups" for alias in node.names
-            ):
-                self.report("REP305", node, self._MESSAGE)
         self.generic_visit(node)

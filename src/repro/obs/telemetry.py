@@ -51,11 +51,7 @@ class RunTelemetry:
     #: DES events processed inside successful replications (summed across
     #: workers; counted by the simulation kernel, shipped with the result).
     des_events: int = 0
-    #: DES events broken down by kernel core (``"pure"`` / ``"native"``).
-    #: A sweep must never silently mix cores — some workers picking up the
-    #: compiled extension while others fall back would still be
-    #: bit-identical, but it voids the perf numbers and hides a broken
-    #: install — so folding a second distinct core into this ledger raises.
+    #: DES events keyed by kernel core; the one kernel is ``"pure"``.
     des_cores: Dict[str, int] = field(default_factory=dict)
 
     # -- recording --------------------------------------------------------
@@ -73,24 +69,10 @@ class RunTelemetry:
             self.record_core_events(cores)
 
     def record_core_events(self, cores: Dict[str, int]) -> None:
-        """Fold per-core DES event counts in; refuse mixed-core runs.
-
-        Raises :class:`RuntimeError` when a second distinct kernel core
-        shows up in one ledger — replications of a sweep must all run on
-        the same core (see :attr:`des_cores`).
-        """
+        """Fold per-core DES event counts in (zero counts are skipped)."""
         for core, events in sorted(cores.items()):
             if events:
                 self.des_cores[core] = self.des_cores.get(core, 0) + events
-        if len(self.des_cores) > 1:
-            detail = ", ".join(
-                f"{core}={events}" for core, events in sorted(self.des_cores.items())
-            )
-            raise RuntimeError(
-                f"mixed DES cores in one run ({detail}); all replications "
-                "of a sweep must use the same kernel — pin one with "
-                "REPRO_DES_NATIVE/--des-core"
-            )
 
     # -- derived ----------------------------------------------------------
 

@@ -3,8 +3,8 @@
 * :class:`TwoCellSimulator` — the teletraffic model behind Figure 6: two
   identical neighboring cells, Poisson arrivals of k connection types,
   exponential holding, geometric handoff chains, pluggable new-connection
-  admission policy.  Arrivals and residencies are timeout callbacks, not
-  processes.
+  admission policy.  Arrivals and residencies are entries on its own
+  event heap; it builds no DES environment.
 * :class:`FloorplanSimulator` — a full cellular system over a
   :class:`~repro.mobility.floorplan.FloorPlan`, wiring cells, base stations,
   the resource manager, and per-class reservation processes together.
@@ -12,17 +12,19 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
+from itertools import count
 from operator import mul
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.classifier import CellTypeLearner
 from ..core.lounge import CafeteriaReservation, DefaultLoungeReservation
 from ..core.manager import CellularResourceManager
 from ..core.meeting import MeetingRoomReservation
 from ..core.probabilistic import ProbabilisticAdmission
-from ..des import make_environment
+from ..des import Environment
 from ..mobility.floorplan import FloorPlan
 from ..profiles.records import BookingCalendar, CellClass
 from ..stats.counters import TeletrafficStats
@@ -73,18 +75,20 @@ class TwoCellSimulator:
     otherwise.  Handoffs that do not fit (after the admission policy's
     reservation) are dropped.
 
-    Every workload event is a bare :class:`~repro.des.events.Timeout` whose
-    value is its ``(cell, ctype)`` and whose callback is :meth:`_arrival`
-    or :meth:`_residency_end`; the simulator starts no process.  A
-    connection carries no state beyond its cell and type, so a generator
-    per connection would only add an ``Initialize`` and an end event each.
+    The model needs a heap, not a process kernel: every workload event is
+    an arrival or a residency end carrying its ``(cell, ctype)``, and
+    nothing waits on one.  ``_queue`` holds ``(time, seq, is_arrival, cell,
+    ctype)`` entries; ``seq`` is unique, so entries at equal times pop in
+    insertion order, as the DES orders equal-priority timeouts.
     """
 
     CELLS = ("q", "s")
 
     def __init__(self, config: TwoCellConfig):
         self.config = config
-        self.env = make_environment()
+        self.now = 0.0
+        self._queue: List[Tuple[float, int, bool, str, int]] = []
+        self._seq = count()
         self.rng = random.Random(config.seed)
         self.stats = TeletrafficStats()
         self.counts: Dict[str, List[int]] = {
@@ -98,7 +102,6 @@ class TwoCellSimulator:
         )
         self._room = config.capacity + 1e-9
         self._static_room = config.capacity - config.static_reserve + 1e-9
-        self._warmup = config.warmup
         self._admission: Optional[ProbabilisticAdmission] = None
         if config.policy == "probabilistic":
             self._admission = ProbabilisticAdmission(
@@ -113,57 +116,10 @@ class TwoCellSimulator:
         for cell in self.CELLS:
             for ctype, (rate, _, _) in enumerate(self._types):
                 if rate > 0:
-                    self.env.timeout(
-                        self.rng.expovariate(rate), (cell, ctype)
-                    ).callbacks.append(self._arrival)
-
-    # -- workload events ---------------------------------------------------------
-
-    def _arrival(self, event) -> None:
-        """A new request: admit or block it, re-arm the stream, then start
-        the admitted connection's first residency.
-
-        The next interarrival is drawn and scheduled before the holding
-        time: the RNG draw order and the timeouts' insertion order (which
-        breaks ties at equal times) fix every counter of a run.
-        """
-        cell, ctype = key = event._value
-        env, rng = self.env, self.rng
-        rate, mu, _ = self._types[ctype]
-        admitted = self._admit_new(cell, ctype)
-        if env._now >= self._warmup:
-            self.stats.record_request(admitted)
-        env.timeout(rng.expovariate(rate), key).callbacks.append(self._arrival)
-        if admitted:
-            self.counts[cell][ctype] += 1
-            env.timeout(rng.expovariate(mu), key).callbacks.append(
-                self._residency_end
-            )
-
-    def _residency_end(self, event) -> None:
-        """A connection leaves its cell: it terminates, or hands off to the
-        other cell and starts a residency there if it fits."""
-        cell, ctype = event._value
-        env, rng, counts = self.env, self.rng, self.counts
-        _, mu, handoff_prob = self._types[ctype]
-        counts[cell][ctype] -= 1
-        counting = env._now >= self._warmup
-
-        if rng.random() >= handoff_prob:
-            if counting:
-                self.stats.record_completion()
-            return  # natural termination
-
-        cell = "s" if cell == "q" else "q"
-        fits = self._bandwidth_used(cell) + self._bandwidths[ctype] <= self._room
-        if counting:
-            self.stats.record_handoff(attempts=1, drops=0 if fits else 1)
-        if not fits:
-            return  # dropped mid-call
-        counts[cell][ctype] += 1
-        env.timeout(rng.expovariate(mu), (cell, ctype)).callbacks.append(
-            self._residency_end
-        )
+                    heapq.heappush(self._queue, (
+                        self.now + self.rng.expovariate(rate),
+                        next(self._seq), True, cell, ctype,
+                    ))
 
     # -- admission ----------------------------------------------------------------
 
@@ -190,7 +146,48 @@ class TwoCellSimulator:
     # -- driving ---------------------------------------------------------------------
 
     def run(self) -> TwoCellResult:
-        self.env.run(until=self.config.horizon)
+        """Fire every entry due before the horizon, in (time, seq) order.
+
+        An entry at exactly the horizon stays queued, as the DES's URGENT
+        stop event sorts before a timeout at the same time.  An arrival is
+        admitted or blocked, draws and queues the next interarrival, then
+        starts the admitted connection's first residency; a residency end
+        terminates the connection or hands it off to the other cell, where
+        it is dropped if it does not fit.  The RNG draw order and the
+        queue's insertion order fix every counter of a run.
+        """
+        queue, rng, counts, stats = self._queue, self.rng, self.counts, self.stats
+        types, bandwidths, room = self._types, self._bandwidths, self._room
+        warmup, horizon = self.config.warmup, self.config.horizon
+        push, pop, seq = heapq.heappush, heapq.heappop, self._seq
+        expovariate, uniform = rng.expovariate, rng.random
+        admit_new = self._admit_new
+        while queue and queue[0][0] < horizon:
+            now, _, is_arrival, cell, ctype = pop(queue)
+            self.now = now
+            rate, mu, handoff_prob = types[ctype]
+            if is_arrival:
+                admitted = admit_new(cell, ctype)
+                if now >= warmup:
+                    stats.record_request(admitted)
+                push(queue, (now + expovariate(rate), next(seq), True, cell, ctype))
+                if admitted:
+                    counts[cell][ctype] += 1
+                    push(queue, (now + expovariate(mu), next(seq), False, cell, ctype))
+                continue
+            counts[cell][ctype] -= 1
+            counting = now >= warmup
+            if uniform() >= handoff_prob:
+                if counting:
+                    stats.record_completion()
+                continue  # natural termination
+            cell = "s" if cell == "q" else "q"
+            fits = sum(map(mul, counts[cell], bandwidths)) + bandwidths[ctype] <= room
+            if counting:
+                stats.record_handoff(attempts=1, drops=0 if fits else 1)
+            if fits:
+                counts[cell][ctype] += 1
+                push(queue, (now + expovariate(mu), next(seq), False, cell, ctype))
         return TwoCellResult(stats=self.stats, config=self.config)
 
 
@@ -216,7 +213,7 @@ class FloorplanSimulator:
     ):
         plan.validate()
         self.plan = plan
-        self.env = make_environment()
+        self.env = Environment()
         self.rng = random.Random(seed)
         self.stats = TeletrafficStats()
 

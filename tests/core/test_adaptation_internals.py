@@ -115,3 +115,24 @@ def test_sweep_terminates_quiescent():
     assert not protocol._rounds
     assert not protocol._probe_queue
     assert not protocol._sweep_scheduled
+
+
+def test_sweep_forces_probe_when_only_a_downstream_link_disagrees():
+    """Racing rounds leave c2 committed at excess 50 over (s2, s3), whose
+    advertised rate is 40, while its source link (s1, s2) agrees with 50: the
+    source's local check suppresses every sweep probe.  The next sweep forces
+    the probe, so the run ends at the max-min point instead of re-arming
+    sweeps forever."""
+    topo, env, protocol = setup(switches=6, capacity=200.0)
+    register(topo, protocol, "s3", "s5", "c0", b_max=60.0)
+    register(topo, protocol, "s0", "s3", "c1", b_max=60.0)
+    register(topo, protocol, "s1", "s3", "c2", b_max=60.0)
+    register(topo, protocol, "s1", "s5", "c3", b_max=1000.0)
+    register(topo, protocol, "s2", "s4", "c4", b_max=1000.0)
+    env.run(until=60.0)
+    assert env.peek() == float("inf")  # no sweep left pending
+    for conn_id, excess in protocol.reference_allocation().items():
+        assert protocol.rate_of(conn_id) == pytest.approx(
+            protocol.connections[conn_id].b_min + excess, abs=1e-3
+        )
+    assert protocol.rate_of("c2") == pytest.approx(10.0 + 40.0)

@@ -1,8 +1,8 @@
-"""Tests for event primitives: succeed/fail, conditions, process failure."""
+"""Tests for event primitives: succeed/fail and process failure."""
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 
 
 def test_event_succeed_delivers_value():
@@ -67,161 +67,6 @@ def test_value_before_trigger_raises():
         _ = ev.value
     with pytest.raises(AttributeError):
         _ = ev.ok
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        t1, t2 = env.timeout(2, "a"), env.timeout(5, "b")
-        result = yield t1 & t2
-        times.append(env.now)
-        assert set(result.values()) == {"a", "b"}
-
-    env.process(proc(env))
-    env.run()
-    assert times == [5.0]
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        result = yield env.timeout(2, "fast") | env.timeout(9, "slow")
-        times.append(env.now)
-        assert "fast" in result.values()
-
-    env.process(proc(env))
-    env.run()
-    assert times == [2.0]
-
-
-def test_all_of_factory_with_many_events():
-    env = Environment()
-    done = []
-
-    def proc(env):
-        yield env.all_of([env.timeout(i) for i in range(1, 6)])
-        done.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert done == [5.0]
-
-
-def test_any_of_failure_propagates():
-    env = Environment()
-    caught = []
-
-    def proc(env, bad):
-        try:
-            yield env.any_of([bad, env.timeout(10)])
-        except ValueError:
-            caught.append(env.now)
-
-    bad = env.event()
-    env.process(proc(env, bad))
-    bad.fail(ValueError("bad"))
-    env.run()
-    assert caught == [0.0]
-
-
-def test_condition_on_already_processed_event():
-    env = Environment()
-    seen = []
-
-    def proc(env, ev):
-        yield env.timeout(1)
-        # ev fired at t=0 and is long processed.
-        yield ev & env.timeout(1)
-        seen.append(env.now)
-
-    ev = env.event()
-    ev.succeed("early")
-    env.process(proc(env, ev))
-    env.run()
-    assert seen == [2.0]
-
-
-def test_process_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as exc:
-            causes.append((exc.cause, env.now))
-
-    def attacker(env, target):
-        yield env.timeout(3)
-        target.interrupt("preempted")
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    assert causes == [("preempted", 3.0)]
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-
-    def proc(env):
-        env.active_process.interrupt()
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    with pytest.raises(RuntimeError):
-        env.run()
-
-
-def test_interrupting_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_rewait_original_target():
-    """After an interrupt, the original timeout still completes on re-yield."""
-    env = Environment()
-    log = []
-
-    def victim(env):
-        timeout = env.timeout(10, "original")
-        try:
-            yield timeout
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        value = yield timeout
-        log.append((value, env.now))
-
-    def attacker(env, target):
-        yield env.timeout(4)
-        target.interrupt()
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    assert log == [("interrupted", 4.0), ("original", 10.0)]
-
-
-def test_env_exit_sets_process_value():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1)
-        env.exit(99)
-        yield env.timeout(1)  # pragma: no cover - unreachable
-
-    assert env.run(until=env.process(proc(env))) == 99
 
 
 def test_process_failure_propagates_to_waiter():

@@ -1,6 +1,6 @@
 """Tests for event-queue ordering guarantees (URGENT vs NORMAL, ties)."""
 
-from repro.des import NORMAL, URGENT, Environment, Event, Interrupt, Timeout
+from repro.des import NORMAL, URGENT, Environment, Event, Timeout
 from repro.obs import RingBufferSink, Tracer
 
 
@@ -22,32 +22,6 @@ def test_urgent_events_precede_normal_at_same_time():
 
     env.run()
     assert order == ["urgent", "normal"]
-
-
-def test_interrupt_scheduled_at_same_time_preempts_pending_timeout():
-    """An interrupt issued at time t, while the victim's timeout is also due
-    at t but not yet processed, wins: interrupts are URGENT."""
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(5.0)
-            log.append("timeout-won")
-        except Interrupt:
-            log.append("interrupt-won")
-
-    def attacker(env):
-        yield env.timeout(5.0)
-        target.interrupt()
-
-    # The attacker's timeout is inserted first, so at t=5 it is processed
-    # before the victim's; the interrupt it schedules is URGENT and jumps
-    # ahead of the victim's already-queued NORMAL timeout.
-    env.process(attacker(env))
-    target = env.process(victim(env))
-    env.run()
-    assert log == ["interrupt-won"]
 
 
 def test_insertion_order_breaks_ties_within_priority():

@@ -386,8 +386,7 @@ def test_rep102_negative_event_yields():
         def proc(env, other):
             yield env.timeout(1.0)
             yield env.event()
-            yield env.all_of([other])
-            result = yield env.any_of([other])
+            result = yield env.process(other)
             return result
     """)
 
@@ -614,54 +613,6 @@ def test_rep303_negative_shadowed_print_is_still_flagged_only_for_builtin():
     """, path=PLAIN_PATH)
 
 
-# -- REP305: no direct import of the compiled DES core ----------------------
-
-
-def test_rep305_positive_absolute_import():
-    assert_triggers("REP305", """
-        import repro.des._speedups
-    """, path=PLAIN_PATH, line=2)
-
-
-def test_rep305_positive_from_module_import():
-    assert_triggers("REP305", """
-        from repro.des._speedups import bind
-
-        def fast(env):
-            return bind(env)
-    """, path=PLAIN_PATH, line=2)
-
-
-def test_rep305_positive_relative_from_import():
-    assert_triggers("REP305", """
-        from ..des import _speedups
-    """, path=PLAIN_PATH, line=2)
-
-
-def test_rep305_negative_selection_seam_is_exempt():
-    # repro/des/ owns the seam: native.py and engine.py may touch it.
-    assert_clean("REP305", """
-        from . import _speedups
-    """, path=ENGINE_PATH)
-
-
-def test_rep305_negative_tests_and_tools_are_exempt():
-    source = """
-        from repro.des import _speedups
-    """
-    assert_clean("REP305", source, path="tests/des/test_native_core.py")
-    assert_clean("REP305", source, path=TOOL_PATH)
-
-
-def test_rep305_negative_make_environment_is_the_blessed_path():
-    assert_clean("REP305", """
-        from repro.des import make_environment
-
-        def build():
-            return make_environment()
-    """, path=PLAIN_PATH)
-
-
 # -- REP304: no wall-clock durations in engine/obs code ---------------------
 
 
@@ -770,7 +721,7 @@ ALL_RULE_IDS = [
     "REP001", "REP002", "REP003", "REP004", "REP005",
     "REP101", "REP102", "REP103",
     "REP201", "REP202",
-    "REP301", "REP302", "REP303", "REP304", "REP305",
+    "REP301", "REP302", "REP303", "REP304",
     "REP401", "REP402", "REP404",
 ]
 

@@ -17,7 +17,7 @@ import sys
 from repro.__main__ import main
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer, use_registry, use_tracer
 from repro.runtime import ExperimentRunner
-from repro.sim import figure6_config, simulate_twocell_stats
+from repro.sim import run_campus_day
 
 _SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 HASH_SEEDS = ("0", "1", "31337")
@@ -105,11 +105,13 @@ def test_merged_metrics_json_is_hashseed_invariant():
 # -- runner-level merge ------------------------------------------------------
 
 
-def _sweep_configs():
-    return [
-        figure6_config(policy="probabilistic", seed=seed, horizon=60.0)
-        for seed in (1, 2, 3, 4)
-    ]
+#: Seeds of a sweep of short campus days: floorplan runs that fire DES
+#: events and write domain trace records and metrics.
+_SWEEP_SEEDS = [1, 2, 3, 4]
+
+
+def _campus_slice_stats(seed):
+    return run_campus_day(seed=seed, day_length=900.0, walkers=2, patrons=5).stats
 
 
 def _observed_sweep(jobs):
@@ -117,7 +119,7 @@ def _observed_sweep(jobs):
     sink = RingBufferSink(capacity=1 << 20)
     with use_registry(registry), use_tracer(Tracer(sink)):
         results = ExperimentRunner(jobs=jobs).run_many(
-            simulate_twocell_stats, _sweep_configs()
+            _campus_slice_stats, _SWEEP_SEEDS
         )
     return results, registry.to_json(indent=2), sink.records()
 
@@ -137,5 +139,5 @@ def test_runner_merge_matches_serial_observation():
 
 def test_no_observers_means_no_snapshot_overhead():
     runner = ExperimentRunner(jobs=2)
-    runner.run_many(simulate_twocell_stats, _sweep_configs())
+    runner.run_many(_campus_slice_stats, _SWEEP_SEEDS)
     assert runner.telemetry.trace_records == 0

@@ -101,12 +101,13 @@ def test_des_events_default_zero_and_merge():
     assert a.des_events == 50
 
 
-def _run_twocell(seed):
-    from repro.sim import TwoCellSimulator, figure6_config
+def _run_campus_slice(seed):
+    """A short floorplan run: a replication that fires DES events."""
+    from repro.sim import run_campus_day
 
-    return TwoCellSimulator(
-        figure6_config(policy="plain", horizon=30.0, seed=seed)
-    ).run().stats.new_requests
+    return run_campus_day(
+        seed=seed, day_length=900.0, walkers=2, patrons=5
+    ).stats.new_requests
 
 
 def test_runner_counts_des_events_serial_and_pool():
@@ -114,13 +115,53 @@ def test_runner_counts_des_events_serial_and_pool():
     replication, shipped back with the wall time), so the totals must agree
     between serial and process-pool execution of the same workload."""
     serial = ExperimentRunner(jobs=1)
-    serial.run_many(_run_twocell, [1, 2])
+    serial.run_many(_run_campus_slice, [1, 2])
     assert serial.telemetry.des_events > 0
     assert serial.telemetry.events_per_second > 0
 
     pool = ExperimentRunner(jobs=2)
-    pool.run_many(_run_twocell, [1, 2])
+    pool.run_many(_run_campus_slice, [1, 2])
     assert pool.telemetry.des_events == serial.telemetry.des_events
+
+
+def test_serial_and_pool_report_same_core():
+    """Workers ship their per-core event counts back with the wall time, so
+    serial and process-pool runs both name the one kernel core and credit it
+    with every event."""
+    serial = ExperimentRunner(jobs=1)
+    serial.run_many(_run_campus_slice, [1, 2])
+    assert serial.telemetry.des_core == "pure"
+    assert serial.telemetry.des_cores["pure"] == serial.telemetry.des_events > 0
+
+    pool = ExperimentRunner(jobs=2)
+    pool.run_many(_run_campus_slice, [1, 2])
+    assert pool.telemetry.des_core == "pure"
+    assert pool.telemetry.des_cores == serial.telemetry.des_cores
+
+
+def test_telemetry_records_single_core():
+    t = RunTelemetry()
+    t.record_replication(1.0, events=5, cores={"pure": 5})
+    t.record_core_events({"pure": 3, "native": 0})  # zero counts ignored
+    assert t.des_cores == {"pure": 8}
+    assert t.des_core == "pure"
+    assert "[pure core]" in t.summary()
+
+
+def test_telemetry_merge_folds_core_events():
+    a, b = RunTelemetry(), RunTelemetry()
+    a.record_core_events({"pure": 4})
+    b.record_core_events({"pure": 6})
+    a.merge(b)
+    assert a.des_cores == {"pure": 10}
+
+
+def test_to_dict_surfaces_core():
+    t = RunTelemetry()
+    t.record_replication(1.0, events=20, cores={"pure": 20})
+    data = t.to_dict()
+    assert data["des"]["core"] == "pure"
+    assert data["des"]["cores"] == {"pure": 20}
 
 
 # -- runner integration -----------------------------------------------------

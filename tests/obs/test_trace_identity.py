@@ -15,7 +15,7 @@ from repro.obs import (
     use_registry,
     use_tracer,
 )
-from repro.sim import TwoCellSimulator, figure6_config
+from repro.sim import TwoCellSimulator, figure6_config, run_campus_day
 
 
 def _run_twocell(seed=5, horizon=120.0, policy="probabilistic"):
@@ -23,15 +23,21 @@ def _run_twocell(seed=5, horizon=120.0, policy="probabilistic"):
     return TwoCellSimulator(config).run()
 
 
+def _run_floorplan(seed=5, day_length=3600.0):
+    """A short campus day: a floorplan run that fires DES events and
+    writes domain trace records."""
+    return run_campus_day(seed=seed, day_length=day_length, walkers=2, patrons=5)
+
+
 def _stats_tuple(result):
     return dataclasses.astuple(result.stats)
 
 
-def test_traced_twocell_run_is_bit_identical():
-    baseline = _stats_tuple(_run_twocell())
+def test_traced_floorplan_run_is_bit_identical():
+    baseline = _stats_tuple(_run_floorplan())
     sink = RingBufferSink()
     with use_tracer(Tracer(sink)):
-        traced = _stats_tuple(_run_twocell())
+        traced = _stats_tuple(_run_floorplan())
     assert traced == baseline
     assert len(sink.records()) > 0  # the trace actually recorded something
 
@@ -85,7 +91,8 @@ def test_trace_records_do_not_leak_mutable_sim_state():
     # later mutation would retroactively change the trace.
     sink = RingBufferSink()
     with use_tracer(Tracer(sink)):
-        _run_twocell(horizon=60.0)
+        _run_floorplan()
+    assert sink.records()
     for record in sink.records():
         for key, value in record.items():
             assert isinstance(

@@ -289,13 +289,12 @@ def test_traced_simulation_output_bit_identical_across_hash_seeds():
         """
 import dataclasses, json
 from repro.obs import RingBufferSink, Tracer, use_tracer
-from repro.sim import TwoCellSimulator, figure6_config
+from repro.sim import run_campus_day
 
 sink = RingBufferSink()
 with use_tracer(Tracer(sink)):
-    result = TwoCellSimulator(
-        figure6_config(policy="probabilistic", horizon=60.0, seed=11)
-    ).run()
+    result = run_campus_day(seed=11, day_length=3600.0, walkers=2, patrons=5)
+assert any(not r["kind"].startswith("des.") for r in sink.records())
 domain = [
     json.dumps(r, default=repr)
     for r in sink.records()

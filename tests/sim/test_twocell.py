@@ -1,6 +1,7 @@
 """Tests for the two-cell teletraffic simulator (Figure 6 substrate)."""
 
 import dataclasses
+import heapq
 import os
 import pathlib
 import subprocess
@@ -50,22 +51,32 @@ def test_workload_statistics_plausible():
     assert stats.completed > 0
 
 
-def test_bandwidth_never_exceeds_capacity():
+def _pop_hook(monkeypatch, before_pop):
+    """Call ``before_pop(queue)`` ahead of every entry the simulator pops,
+    so a test sees the entry due next and the state the previous one left."""
+    heappop = heapq.heappop
+
+    def hooked(queue):
+        before_pop(queue)
+        return heappop(queue)
+
+    monkeypatch.setattr(heapq, "heappop", hooked)
+
+
+def test_bandwidth_never_exceeds_capacity(monkeypatch):
     config = figure6_config(policy="plain", horizon=60.0, seed=2)
     sim = TwoCellSimulator(config)
+    checks = []
 
-    violations = []
+    def check(queue=None):
+        checks.append(sim.now)
+        for cell in sim.CELLS:
+            assert sim._bandwidth_used(cell) <= config.capacity + 1e-9, sim.now
 
-    def monitor():
-        while True:
-            yield sim.env.timeout(0.05)
-            for cell in sim.CELLS:
-                if sim._bandwidth_used(cell) > config.capacity + 1e-9:
-                    violations.append(sim.env.now)
-
-    sim.env.process(monitor())
+    _pop_hook(monkeypatch, check)
     sim.run()
-    assert violations == []
+    check()
+    assert len(checks) > 10_000
 
 
 def test_static_policy_blocks_more_drops_less_than_plain():
@@ -121,14 +132,28 @@ def test_counters_pinned_exactly(policy, overrides, counters):
     assert dataclasses.asdict(stats) == {**dict(zip(names, counters)), "extra": {}}
 
 
-def test_plain_run_event_count_pinned():
-    """Every event of the first pinned run is a workload timeout (plus the
-    run's horizon event): one per arrival and one per residency.  With a
-    process per connection and per arrival stream the same run fired
-    23,640, its outputs unchanged."""
+def test_plain_run_event_count_pinned(monkeypatch):
+    """Every entry of the first pinned run is one arrival or one residency
+    end.  With a process per connection and per arrival stream the same
+    run fired 23,640 DES events, its outputs unchanged; on timeout
+    callbacks it fired 16,122, the horizon's stop event included."""
     sim = TwoCellSimulator(figure6_config(policy="plain", horizon=60.0, seed=11))
+    popped = []
+    _pop_hook(monkeypatch, lambda queue: popped.append(queue[0][0]))
     sim.run()
-    assert sim.env.events_processed == 16122
+    assert len(popped) == 16121
+    assert popped == sorted(popped)
+    assert popped[-1] == sim.now < 60.0 <= sim._queue[0][0]
+
+
+def test_entry_at_the_horizon_does_not_fire():
+    """The DES's URGENT stop event sorted before a timeout due exactly at
+    the horizon, so such an entry stays queued."""
+    sim = TwoCellSimulator(figure6_config(policy="plain", horizon=10.0, warmup=2.0))
+    due = (10.0, -1, True, "q", 0)
+    heapq.heappush(sim._queue, due)
+    sim.run()
+    assert sim._queue[0] == due
 
 
 _POLICIES = [
@@ -140,10 +165,13 @@ _POLICIES = [
 
 @pytest.mark.parametrize("policy, overrides", _POLICIES)
 def test_twocell_starts_no_process(monkeypatch, policy, overrides):
-    def refuse(self, generator):
-        raise AssertionError("TwoCellSimulator started a process")
+    """The simulator builds no DES environment at all, so it can start no
+    process: its events live on its own heap."""
 
-    monkeypatch.setattr(Environment, "process", refuse)
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("TwoCellSimulator built a DES environment")
+
+    monkeypatch.setattr(Environment, "__init__", refuse)
     stats = run(policy=policy, horizon=10.0, warmup=2.0, **overrides).stats
     assert stats.new_requests > 0 and stats.handoff_attempts > 0
 

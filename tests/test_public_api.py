@@ -8,7 +8,6 @@ tripped on it.
 import pkgutil
 
 import repro
-from repro.des import native_available
 
 
 def test_every_export_resolves():
@@ -18,8 +17,6 @@ def test_every_export_resolves():
     assert {"repro.core", "repro.des", "repro.sim", "repro.traffic"} <= set(modules)
     stale = {}
     for name in modules:
-        if name == "repro.des.native" and not native_available():
-            continue  # the C extension was never built
         # A star import raises AttributeError for any name in __all__ that
         # the module (or, for a package, a submodule of that name) lacks.
         try:
